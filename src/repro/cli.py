@@ -52,7 +52,11 @@ def _cmd_dfs(args: argparse.Namespace) -> int:
     if args.edge_list is not None:
         from .graph.io import read_edge_list
 
-        g = read_edge_list(args.edge_list)
+        try:
+            g = read_edge_list(args.edge_list)
+        except (OSError, ValueError) as exc:
+            print(f"repro dfs: {exc}", file=sys.stderr)
+            return 2
     else:
         g = make_family(args.family, args.n, seed=args.seed)
     structure = args.backend

@@ -93,6 +93,7 @@ def parallel_dfs(
     depth: dict[int, int] = {root: 0}
     stats = {
         "separator_rounds": 0,
+        "separator_stalls": 0,
         "absorb_iterations": 0,
         "components_processed": 0,
         "sequential_base_cases": 0,
@@ -157,6 +158,7 @@ def parallel_dfs(
                 neighbor_structure=neighbor_structure, backend=kb,
             )
         stats["separator_rounds"] += sep.rounds
+        stats["separator_stalls"] += sep.stalls
 
         seeds_local = [
             (mapping[vg], xg, d)

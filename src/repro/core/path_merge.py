@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ..graph.graph import Graph
 from ..kernels.dispatch import get_kernel, is_array_backend, resolve_backend
@@ -77,30 +78,29 @@ class MergeResult:
 
 def _contracted_arrays_np(
     g: Graph,
-    on_short: dict[int, int],
+    members,
+    member_short,
     contract_base: int,
     n_short: int,
 ):
     """Vectorized G' construction — identical to the tracked edge loop.
 
-    Returns ``(big_n, eu, ev, indptr, dsts, eids, contact)``: the same
-    edge list as ``sorted(gp_edges)`` (same edge ids), the adjacency as
-    CSR arrays in exactly ``_add_edge``'s append order (edge-id order per
-    vertex), and the same ``contact`` map (first occurrence in edge order
-    wins, a-endpoint before b-endpoint within one edge — replicated with
-    a stable first-occurrence reduction).
+    ``members[j]`` lies on short path ``member_short[j]``.  Returns
+    ``(big_n, eu, ev, indptr, dsts, eids, ckeys, cvals)``: the same edge
+    list as ``sorted(gp_edges)`` (same edge ids), the adjacency as CSR
+    arrays in exactly ``_add_edge``'s append order (edge-id order per
+    vertex), and the tracked ``contact`` map as parallel arrays —
+    ``cvals[i]`` is the contact for the sorted key
+    ``ckeys[i] = real * big_n + contracted`` (first occurrence in edge
+    order wins, a-endpoint before b-endpoint within one edge —
+    replicated with a stable first-occurrence reduction).
     """
     import numpy as np
 
     big_n = contract_base + n_short
     csr = g.csr()
     vmap = np.arange(big_n, dtype=np.int64)
-    if on_short:
-        # keys()/values() are aligned views; the scatter targets distinct
-        # indices so iteration order cannot reach the output
-        ks = np.fromiter(on_short.keys(), dtype=np.int64, count=len(on_short))  # repro-lint: disable=R002
-        sis = np.fromiter(on_short.values(), dtype=np.int64, count=len(on_short))  # repro-lint: disable=R002
-        vmap[ks] = contract_base + sis
+    vmap[members] = contract_base + member_short
     a = vmap[csr.edge_u]
     b = vmap[csr.edge_v]
     keep = a != b
@@ -135,26 +135,21 @@ def _contracted_arrays_np(
     ckeys = ckeys[valid]
     cvals = cvals[valid]
     uniq, first = np.unique(ckeys, return_index=True)
-    contact = dict(
-        zip(
-            zip((uniq // big_n).tolist(), (uniq % big_n).tolist()),
-            cvals[first].tolist(),
-        )
-    )
-    return big_n, eu, ev, indptr, dsts, eids, contact
+    return big_n, eu, ev, indptr, dsts, eids, uniq, cvals[first]
 
 
 def _contracted_graph_np(
     g: Graph,
-    on_short: dict[int, int],
+    members,
+    member_short,
     contract_base: int,
     n_short: int,
 ) -> tuple[Graph, dict[tuple[int, int], int]]:
     """G' as a :class:`Graph` — the array construction materialized into
     adjacency lists (used when a non-flat neighbor structure needs a real
     graph, e.g. the rescanning baseline under the numpy engine)."""
-    big_n, eu, ev, indptr, dsts, eids, contact = _contracted_arrays_np(
-        g, on_short, contract_base, n_short
+    big_n, eu, ev, indptr, dsts, eids, ckeys, cvals = _contracted_arrays_np(
+        g, members, member_short, contract_base, n_short
     )
     edges = list(zip(eu.tolist(), ev.tolist()))
     dl = dsts.tolist()
@@ -164,6 +159,12 @@ def _contracted_graph_np(
     adj = [dl[bounds[i] : bounds[i + 1]] for i in range(big_n)]  # repro-lint: disable=R001
     adj_eids = [el[bounds[i] : bounds[i + 1]] for i in range(big_n)]  # repro-lint: disable=R001
     gp = Graph.from_trusted_arrays(big_n, edges, adj, adj_eids)
+    contact = dict(
+        zip(
+            zip((ckeys // big_n).tolist(), (ckeys % big_n).tolist()),
+            cvals.tolist(),
+        )
+    )
     return gp, contact
 
 
@@ -184,42 +185,58 @@ def merge_paths(
     ``neighbor_structure`` selects the Lemma 4.5 structure ("tournament",
     the paper's) or the rescanning baseline ("naive", GPV88-style; E9/E5).
     ``backend`` selects the kernel engine for the inner Luby matchings
-    ("tracked" | "numpy", see :mod:`repro.kernels.dispatch`).
+    ("tracked" | "numpy", see :mod:`repro.kernels.dispatch`).  On an
+    array engine with the tournament structure the whole process runs on
+    arrays (:func:`_merge_steps_arrays`); otherwise the per-path object
+    loop (:func:`_merge_steps_objects`), the lockstep reference, runs.
+    Both return the identical result and charge identically.
     """
     n = g.n
     if threshold is None:
         threshold = max(1.0, n ** 0.5)
+    max_steps = 4 * n + 16
 
     # ------------------------------------------------------------------
     # build the auxiliary graph G' with short paths contracted
     # ------------------------------------------------------------------
-    on_short = {}  # orig vertex -> short index
-    n_short_members = 0
-    for si, s in enumerate(short_paths):
-        for v in s:
-            n_short_members += 1
-            on_short[v] = si
+    kb = resolve_backend(backend)
+    array_engine = is_array_backend(kb) and g.m > 0
+    n_short_members = sum(map(len, short_paths))
+    if array_engine:
+        import numpy as np
+
+        members = np.fromiter(
+            chain.from_iterable(short_paths), np.int64, n_short_members
+        )
+        member_short = np.repeat(
+            np.arange(len(short_paths), dtype=np.int64),
+            np.fromiter(map(len, short_paths), np.int64, len(short_paths)),
+        )
+    else:
+        on_short = {}  # orig vertex -> short index
+        for si, s in enumerate(short_paths):
+            for v in s:
+                on_short[v] = si
     t.charge(n_short_members, 1)
     # G' ids: 0..n-1 for real vertices (short members unused), then one id
     # per short path
     contract_base = n
     gp_n = contract_base + len(short_paths)
-    kb = resolve_backend(backend)
     t.charge(g.m, log2_ceil(max(2, g.m)) + 1)
     gp: Graph | None = None
     gp_csr = None
-    if is_array_backend(kb) and g.m:
+    if array_engine:
         if neighbor_structure == "tournament":
             # all-array path: keep G' as CSR arrays and build the flat
             # neighbor structure straight from them — no intermediate
             # Graph with Python adjacency lists
-            _, _, _, indptr, dsts, eids2, contact = _contracted_arrays_np(
-                g, on_short, contract_base, len(short_paths)
+            _, _, _, indptr, dsts, eids2, ckeys, cvals = _contracted_arrays_np(
+                g, members, member_short, contract_base, len(short_paths)
             )
             gp_csr = (indptr, dsts, eids2)
         else:
             gp, contact = _contracted_graph_np(
-                g, on_short, contract_base, len(short_paths)
+                g, members, member_short, contract_base, len(short_paths)
             )
     else:
         gp_edges: set[tuple[int, int]] = set()
@@ -261,19 +278,47 @@ def merge_paths(
     else:
         raise ValueError(f"unknown neighbor_structure {neighbor_structure!r}")
 
-    # long-path members start inactive ("contained in a path")
-    long_members = [v for l in long_paths for v in l]
-    if long_members:
+    # long-path members start inactive ("contained in a path"); short
+    # members' real ids are unused in G' — deactivate them so queries can
+    # never return them (they exist as padding ids only)
+    if array_engine:
+        long_members = np.fromiter(
+            chain.from_iterable(long_paths), np.int64,
+            sum(map(len, long_paths)),
+        )
+        padding = np.unique(members)
+    else:
+        long_members = [v for l in long_paths for v in l]
+        padding = sorted(set(on_short))
+    if len(long_members):
         ans.make_inactive(long_members)
-    # short members' real ids are unused in G'; deactivate them so queries
-    # can never return them (they exist as padding ids only)
-    padding = sorted(set(on_short) )
-    if padding:
+    if len(padding):
         ans.make_inactive(padding)
 
-    # ------------------------------------------------------------------
-    # merging process state
-    # ------------------------------------------------------------------
+    if gp_csr is not None:
+        return _merge_steps_arrays(
+            t, ans, long_paths, (ckeys, cvals), contract_base, gp_n,
+            threshold, max_steps, rng, backend,
+        )
+    return _merge_steps_objects(
+        t, ans, long_paths, contact, contract_base, gp_n,
+        threshold, max_steps, rng, backend,
+    )
+
+
+def _merge_steps_objects(
+    t: Tracker,
+    ans,
+    long_paths: list[list[int]],
+    contact: dict[tuple[int, int], int],
+    contract_base: int,
+    gp_n: int,
+    threshold: float,
+    max_steps: int,
+    rng: random.Random,
+    backend: str | None,
+) -> MergeResult:
+    """The merging process over per-path :class:`LongState` objects."""
     longs = [
         LongState(orig=list(l), cur=list(l), killed_orig=[], killed_ext=[])
         for l in long_paths
@@ -287,9 +332,8 @@ def merge_paths(
 
     active = [i for i, st in enumerate(longs) if st.status == "active"]
 
-    max_steps = 4 * n + 16
     steps = 0
-    while len(active) >= threshold and active:
+    while len(active) >= threshold and active:  # repro-lint: disable=R005 (an int count against the caller's threshold, the same Python compare on every engine)
         steps += 1
         if steps > max_steps:
             raise RuntimeError("path merging did not terminate (bug)")
@@ -392,3 +436,202 @@ def merge_paths(
     t.charge(len(active) + 1, 1)
     result.steps = steps
     return result
+
+
+#: long-path status codes of the array loop (index into _STATUS)
+_ACTIVE, _SUCCEEDED, _DEAD = 0, 1, 2
+_STATUS = ("active", "succeeded", "dead")
+
+
+def _merge_steps_arrays(
+    t: Tracker,
+    ans,
+    long_paths: list[list[int]],
+    contact: tuple,
+    contract_base: int,
+    gp_n: int,
+    threshold: float,
+    max_steps: int,
+    rng: random.Random,
+    backend: str | None,
+) -> MergeResult:
+    """:func:`_merge_steps_objects` on arrays, charge for charge.
+
+    A long path is its original vertices ``orig[start:start + olen]``
+    (``olen`` shrinks as kills backtrack into it) followed by its
+    extension, kept as a stack linked through ``below`` (each real G'
+    vertex is matched at most once, so ``below`` is indexed by vertex).
+    Each phase builds H_ph from the flat query answer, each step commits
+    its matches and kills its unmatched heads in whole-array passes, and
+    the :class:`LongState` objects are materialized once at the end.
+    ``ans`` is the flat Lemma 4.5 structure; ``contact`` is
+    ``(ckeys, cvals)`` from :func:`_contracted_arrays_np`.
+    """
+    import numpy as np
+
+    ckeys, cvals = contact
+    n_long = len(long_paths)
+    lens = np.fromiter(map(len, long_paths), np.int64, n_long)
+    start = np.cumsum(lens) - lens
+    orig = np.fromiter(
+        chain.from_iterable(long_paths), np.int64, int(lens.sum())
+    )
+    olen = lens.copy()
+    status = np.where(lens > 0, _ACTIVE, _DEAD).astype(np.int8)
+    t.charge(n_long + 1, 1)
+    top = np.full(n_long, -1, dtype=np.int64)
+    below = np.empty(contract_base, dtype=np.int64)
+    head = np.full(n_long, -1, dtype=np.int64)
+    head[lens > 0] = orig[(start + lens - 1)[lens > 0]]
+    joined_si = np.full(n_long, -1, dtype=np.int64)
+    joined_y = np.full(n_long, -1, dtype=np.int64)
+    # per-step logs: successes, extension pushes (long, vertex) and
+    # kills (long, vertex, popped from the extension?)
+    p1_li: list[np.ndarray] = []
+    push_li: list[np.ndarray] = []
+    push_v: list[np.ndarray] = []
+    kill_li: list[np.ndarray] = []
+    kill_v: list[np.ndarray] = []
+    kill_ext: list[np.ndarray] = []
+
+    active = np.flatnonzero(status == _ACTIVE)
+    phases = log2_ceil(max(2, gp_n)) + 1
+    steps = 0
+    while active.size and active.size >= threshold:  # repro-lint: disable=R005 (an int count against the caller's threshold, the same Python compare on every engine)
+        steps += 1
+        if steps > max_steps:
+            raise RuntimeError("path merging did not terminate (bug)")
+
+        # ---- one step: every active head attempts matching ----
+        unmatched = active
+        pair_li: list[np.ndarray] = []
+        pair_v: list[np.ndarray] = []
+        for ph in range(phases + 1):
+            if not unmatched.size:
+                break
+            k = int(unmatched.size)
+            rows, sel = ans.query(head[unmatched], 1 << ph, as_arrays=True)
+            sel_total = int(sel.size)
+            t.charge(k + sel_total, log2_ceil(max(2, k + sel_total)) + 1)
+            if not sel_total:
+                break
+            # H_ph ids: heads in query order, candidates in order of
+            # first selection — the object loop's setdefault numbering
+            fresh = np.ones(sel_total, dtype=bool)
+            fresh[1:] = rows[1:] != rows[:-1]
+            left = np.cumsum(fresh) - 1
+            nl = int(left[-1]) + 1
+            uniq, first, inv = np.unique(
+                sel, return_index=True, return_inverse=True
+            )
+            cand_rank = np.empty(uniq.size, dtype=np.int64)
+            cand_rank[np.argsort(first)] = np.arange(uniq.size)
+            h_edges = np.stack([left, nl + cand_rank[inv]], axis=1)
+            chosen = np.asarray(
+                maximal_matching(
+                    t, nl + int(uniq.size), h_edges, rng, backend=backend
+                ),
+                dtype=np.int64,
+            )
+            # apply matches: one op each
+            t.charge(chosen.size, chosen.size)
+            if chosen.size:
+                pair_li.append(unmatched[rows[chosen]])
+                v_now = sel[chosen]
+                pair_v.append(v_now)
+                ans.make_inactive(np.sort(v_now))
+                still = np.ones(k, dtype=bool)
+                still[rows[chosen]] = False
+                unmatched = unmatched[still]
+            t.charge(int(unmatched.size) + 1, 1)
+
+        # ---- commit matches (each long at most once per step) ----
+        n_pairs = sum(map(len, pair_li))
+        t.parallel_ops(n_pairs)
+        if n_pairs:
+            li = np.concatenate(pair_li)
+            v = np.concatenate(pair_v)
+            onto = v >= contract_base
+            ls, vs = li[onto], v[onto]
+            if ls.size:
+                status[ls] = _SUCCEEDED
+                joined_si[ls] = vs - contract_base
+                joined_y[ls] = cvals[np.searchsorted(ckeys, head[ls] * gp_n + vs)]
+                p1_li.append(ls)
+            lr, vr = li[~onto], v[~onto]
+            below[vr] = top[lr]
+            top[lr] = vr
+            head[lr] = vr
+            push_li.append(lr)
+            push_v.append(vr)
+
+        # ---- kills: unmatched heads die and paths backtrack ----
+        t.parallel_ops(int(unmatched.size))
+        if unmatched.size:
+            u = unmatched
+            tp = top[u]
+            on_ext = tp >= 0
+            top[u[on_ext]] = below[tp[on_ext]]
+            uo = u[~on_ext]
+            olen[uo] -= 1
+            killed = tp.copy()
+            killed[~on_ext] = orig[start[uo] + olen[uo]]
+            kill_li.append(u)
+            kill_v.append(killed)
+            kill_ext.append(on_ext)
+            tp = top[u]
+            ol = olen[u]
+            # a path backtracked to nothing is dead; its head is moot
+            head[u] = np.where(
+                tp >= 0, tp, orig[start[u] + np.maximum(ol, 1) - 1]
+            )
+            status[u[(tp < 0) & (ol == 0)]] = _DEAD
+
+        active = active[status[active] == _ACTIVE]
+        t.charge(n_long + 1, 1)
+
+    # paths still attempting when the threshold fired are the P2 set
+    t.charge(int(active.size) + 1, 1)
+
+    # ---- materialize the final states (output extraction) ----
+    empty = np.empty(0, dtype=np.int64)
+    k_li = np.concatenate(kill_li) if kill_li else empty
+    k_v = np.concatenate(kill_v) if kill_v else empty
+    k_ext = np.concatenate(kill_ext) if kill_ext else empty.astype(bool)
+    p_li = np.concatenate(push_li) if push_li else empty
+    p_v = np.concatenate(push_v) if push_v else empty
+    # an extension is a stack, so what survives of it is every pushed
+    # vertex that was never popped, in push order
+    popped = np.zeros(contract_base, dtype=bool)
+    popped[k_v[k_ext]] = True
+    survives = ~popped[p_v]
+    ext = _grouped(n_long, p_li[survives], p_v[survives])
+    killed_orig = _grouped(n_long, k_li[~k_ext], k_v[~k_ext])
+    killed_ext = _grouped(n_long, k_li[k_ext], k_v[k_ext])
+    longs = [
+        LongState(
+            orig=list(l), cur=l[:ol] + ex, killed_orig=ko, killed_ext=ke,
+            status=_STATUS[sc],
+            joined_short=(si, y) if sc == _SUCCEEDED else None,
+        )
+        for l, ol, ex, ko, ke, sc, si, y in zip(  # repro-lint: disable=R001 (output extraction, charged by the loop above)
+            long_paths, olen.tolist(), ext, killed_orig, killed_ext,
+            status.tolist(), joined_si.tolist(), joined_y.tolist(),
+        )
+    ]
+    result = MergeResult(longs=longs, p2=active.tolist(), steps=steps)
+    if p1_li:
+        result.p1 = np.concatenate(p1_li).tolist()
+        result.joined_shorts = set(joined_si[result.p1].tolist())
+    return result
+
+
+def _grouped(n: int, keys, vals) -> list[list[int]]:
+    """``vals`` split by ``keys`` into one list per key ``0..n-1``,
+    each in its original (step) order."""
+    import numpy as np
+
+    order = np.argsort(keys, kind="stable")
+    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
+    flat = vals[order].tolist()
+    return [flat[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]  # repro-lint: disable=R001 (output extraction, charged by the caller's loop)

@@ -29,6 +29,9 @@ class SeparatorResult:
     rounds: int
     #: path counts after each reduction round (for E4)
     history: list[int] = field(default_factory=list)
+    #: rounds that failed to shrink the path set; four in a row end the
+    #: construction above the target (the Õ(√n)-depth argument lapses)
+    stalls: int = 0
 
     @property
     def n_paths(self) -> int:
@@ -65,13 +68,16 @@ def build_separator(
     t.charge(n, 1)
     history = [len(paths)]
     rounds = 0
-    stalls = 0
+    stalls = 0  # consecutive
+    total_stalls = 0
     max_rounds = 64 * max(2, n).bit_length()
     while len(paths) > goal:
         rounds += 1
         if rounds > max_rounds:
             raise RuntimeError("separator construction did not converge")
-        with obs.span("separator.round", round=rounds, paths=len(paths)):
+        with obs.span(
+            "separator.round", round=rounds, paths=len(paths)
+        ) as round_span:
             obs.metrics().counter("separator.rounds").inc()
             new_paths = reduce_paths(
                 g, t, paths, rng, goal,
@@ -82,10 +88,15 @@ def build_separator(
                     g, t, new_paths, backend=backend
                 ), "reduction returned a non-separator"
             stalled = len(new_paths) >= len(paths)
+            if stalled:
+                total_stalls += 1
+                obs.metrics().counter("separator.stalls").inc()
+            round_span.set("stalls", total_stalls)
         if stalled:
             # a stalled round (possible below the paper's 48√n regime); a
             # few retries re-partition L/S with fresh randomness. If that
-            # keeps failing, the current set is still a valid separator.
+            # keeps failing, the current set is still a valid separator,
+            # but above the target: the stall count reports it.
             stalls += 1
             if stalls >= 4:
                 break
@@ -93,4 +104,6 @@ def build_separator(
         stalls = 0
         paths = new_paths
         history.append(len(paths))
-    return SeparatorResult(paths=paths, rounds=rounds, history=history)
+    return SeparatorResult(
+        paths=paths, rounds=rounds, history=history, stalls=total_stalls
+    )

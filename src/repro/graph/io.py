@@ -32,8 +32,13 @@ __all__ = [
 
 
 def read_edge_list(path: str | Path) -> Graph:
-    """Read a whitespace-separated edge list; ``#`` starts a comment."""
+    """Read a whitespace-separated edge list; ``#`` starts a comment.
+
+    Raises ``ValueError`` with a one-line ``path:line: reason`` message
+    on a malformed line, a self-loop or a repeated edge.
+    """
     edges: list[tuple[int, int]] = []
+    first_seen: dict[tuple[int, int], int] = {}
     n = 0
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -48,6 +53,15 @@ def read_edge_list(path: str | Path) -> Graph:
             u, v = int(parts[0]), int(parts[1])
             if u < 0 or v < 0:
                 raise ValueError(f"{path}:{lineno}: negative vertex id")
+            if u == v:
+                raise ValueError(f"{path}:{lineno}: self-loop ({u}, {v})")
+            key = (u, v) if u < v else (v, u)
+            if key in first_seen:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate edge {key} "
+                    f"(first on line {first_seen[key]})"
+                )
+            first_seen[key] = lineno
             edges.append((u, v))
             n = max(n, u + 1, v + 1)
     return Graph(n, edges)

@@ -49,6 +49,11 @@ __all__ = [
 
 
 def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(edges, np.ndarray):  # an (m, 2) endpoint array
+        return (
+            np.ascontiguousarray(edges[:, 0], dtype=np.int64),
+            np.ascontiguousarray(edges[:, 1], dtype=np.int64),
+        )
     m = len(edges)
     if m == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -137,6 +142,8 @@ def maximal_matching_np(
     _scatter=None,
 ) -> list[int]:
     """Drop-in for :func:`repro.matching.luby.maximal_matching`.
+
+    ``edges`` is a sequence of pairs or an ``(m, 2)`` integer array.
 
     Byte-compatible with the tracked backend: each round draws one
     priority per live edge from the *same* ``rng`` stream the tracked

@@ -39,7 +39,8 @@ def maximal_matching(
     """Return edge indices of a maximal matching of ``(n, edges)``.
 
     ``edges`` may contain edges of a bipartite selection graph (Section 4.3)
-    or any simple undirected graph; vertex ids must be < n.
+    or any simple undirected graph; vertex ids must be < n.  The array
+    engines also accept an ``(m, 2)`` integer array.
 
     ``backend="numpy"`` runs the vectorized round kernel
     (:mod:`repro.kernels.matching`): same local-minimum round structure,

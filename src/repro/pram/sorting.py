@@ -11,6 +11,7 @@ a sort for.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Sequence, TypeVar
 
 from .tracker import Tracker, log2_ceil
@@ -29,6 +30,15 @@ def parallel_merge(
     key: Callable,
 ) -> list:
     """Merge two sorted lists with divide-and-conquer median splitting."""
+    merged = _merge_keyed(
+        t, list(zip(map(key, a), a)), list(zip(map(key, b), b))
+    )
+    return list(map(itemgetter(1), merged))
+
+
+def _merge_keyed(t: Tracker, a: list, b: list) -> list:
+    """:func:`parallel_merge` over ``(key, item)`` pairs, comparing keys
+    only — each key is computed once, not on every comparison."""
     if len(a) < len(b):
         a, b = b, a
     if not b:
@@ -39,7 +49,7 @@ def parallel_merge(
         out = []
         i = j = 0
         while i < len(a) and j < len(b):
-            if key(a[i]) <= key(b[j]):
+            if a[i][0] <= b[j][0]:
                 out.append(a[i])
                 i += 1
             else:
@@ -50,18 +60,18 @@ def parallel_merge(
         return out
     # split a at its median; binary-search the split point in b
     mid = len(a) // 2
-    pivot = key(a[mid])
+    pivot = a[mid][0]
     lo, hi = 0, len(b)
     while lo < hi:
         t.op(1)
         m = (lo + hi) // 2
-        if key(b[m]) < pivot:
+        if b[m][0] < pivot:
             lo = m + 1
         else:
             hi = m
     left, right = t.parallel(
-        lambda: parallel_merge(t, a[:mid], b[:lo], key),
-        lambda: parallel_merge(t, a[mid:], b[lo:], key),
+        lambda: _merge_keyed(t, a[:mid], b[:lo]),
+        lambda: _merge_keyed(t, a[mid:], b[lo:]),
     )
     t.op(1)
     return left + right
@@ -72,15 +82,23 @@ def parallel_sort(
     xs: Sequence[T],
     key: Callable[[T], object] | None = None,
 ) -> list[T]:
-    """Stable-ish parallel merge sort of ``xs`` by ``key``."""
-    key = key if key is not None else (lambda x: x)
+    """Stable-ish parallel merge sort of ``xs`` by ``key``.
+
+    ``key`` is evaluated once per item; the recursion compares the
+    cached keys.
+    """
     items = list(xs)
+    keys = items if key is None else map(key, items)
+    return list(map(itemgetter(1), _sort_keyed(t, list(zip(keys, items)))))
+
+
+def _sort_keyed(t: Tracker, items: list) -> list:
     if len(items) <= _SEQ_CUTOFF:
         t.op(max(1, len(items) * max(1, log2_ceil(max(2, len(items))))))
-        return sorted(items, key=key)
+        return sorted(items, key=itemgetter(0))
     mid = len(items) // 2
     left, right = t.parallel(
-        lambda: parallel_sort(t, items[:mid], key),
-        lambda: parallel_sort(t, items[mid:], key),
+        lambda: _sort_keyed(t, items[:mid]),
+        lambda: _sort_keyed(t, items[mid:]),
     )
-    return parallel_merge(t, left, right, key)
+    return _merge_keyed(t, left, right)

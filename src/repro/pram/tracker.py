@@ -168,6 +168,18 @@ class Tracker:
             self.work += k
         return results
 
+    def parallel_ops(self, k: int) -> None:
+        """Charge exactly what :meth:`parallel_for` charges over ``k``
+        branches that each call ``op(1)`` — for array code that applies
+        the ``k`` branches in one vectorized pass."""
+        if k == 0:
+            return
+        self.work += k
+        self.span += 1
+        if self.fork_overhead:
+            self.work += k
+            self.span += log2_ceil(k) + 1
+
     def parallel(self, *thunks: Callable[[], R]) -> list[R]:
         """Run the given thunks as parallel branches (like parallel_for)."""
         return self.parallel_for(thunks, lambda f: f())

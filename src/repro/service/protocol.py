@@ -192,7 +192,7 @@ def validate_request(obj: Any) -> dict:
             rid,
         )
     for field in ("n", "root", "seed"):
-        if field in obj and not isinstance(obj[field], int):
+        if field in obj and not _is_int(obj[field]):
             raise ProtocolError(
                 "bad_field", f"field {field!r} must be an integer", rid
             )
@@ -200,6 +200,12 @@ def validate_request(obj: Any) -> dict:
         if field in obj:
             obj[field] = normalize_pairs(obj[field], field, rid)
     return obj
+
+
+def _is_int(x: Any) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass in Python, but
+    ``true``/``false`` are not vertex ids, sizes or seeds."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def normalize_pairs(
@@ -215,7 +221,7 @@ def normalize_pairs(
         if (
             not isinstance(item, (list, tuple))
             or len(item) != 2
-            or not all(isinstance(x, int) for x in item)
+            or not all(_is_int(x) for x in item)
         ):
             raise ProtocolError(
                 "bad_field",

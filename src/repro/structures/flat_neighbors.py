@@ -33,6 +33,12 @@ from ..pram.tracker import Tracker, log2_ceil
 __all__ = ["FlatActiveNeighborStructure"]
 
 
+def _as_ids(vertices: Sequence[int]) -> np.ndarray:
+    if isinstance(vertices, np.ndarray):
+        return vertices.astype(np.int64, copy=False)
+    return np.asarray(list(vertices), dtype=np.int64)
+
+
 class FlatActiveNeighborStructure:
     """CSR slot arrays + active flags; tournament-identical answers."""
 
@@ -129,7 +135,7 @@ class FlatActiveNeighborStructure:
         deactivated vertices' slot ranges plus a scatter-subtract into
         the per-neighbor active counts.
         """
-        vs = np.asarray(list(vertices), dtype=np.int64)
+        vs = _as_ids(vertices)
         if vs.size == 0:
             return
         dead = ~self.active[vs]
@@ -157,18 +163,23 @@ class FlatActiveNeighborStructure:
             log2_ceil(max(2, self.n)) + 1,
         )
 
-    def query(self, vertices: Sequence[int], t_count: int) -> list[list[int]]:
+    def query(
+        self, vertices: Sequence[int], t_count: int, as_arrays: bool = False
+    ):
         """For each vertex, up to ``t_count`` distinct active neighbors.
 
         Identical answers to the tournament path: the first
         ``min(t_count, n_active)`` active adjacency entries in list
-        order.
+        order.  With ``as_arrays`` the answer is flat instead:
+        ``(rows, nbrs)`` int64 arrays, ``nbrs[j]`` selected for
+        ``vertices[rows[j]]``, rows ascending and each row's entries in
+        list order (the lists, concatenated).
         """
         if t_count < 0:
             raise ValueError("t must be >= 0")
-        vs = np.asarray(list(vertices), dtype=np.int64)
+        vs = _as_ids(vertices)
         k = int(vs.size)
-        out: list[list[int]] = [[] for _ in range(k)]
+        rows = nbrs = np.empty(0, dtype=np.int64)
         if k and t_count:
             indptr, leaf = self._indptr, self._leaf
             starts = indptr[vs]
@@ -188,20 +199,20 @@ class FlatActiveNeighborStructure:
                 c = np.cumsum(act)
                 rank = c - np.repeat(c[idx0] - act[idx0], counts)
                 keep = act & (rank <= t_count)
-                sel_rows = np.repeat(np.arange(k, dtype=np.int64), counts)[
-                    keep
-                ]
-                flat = self._nbr[slots[keep]].tolist()
-                bounds = np.cumsum(
-                    np.bincount(sel_rows, minlength=k)
-                ).tolist()
-                lo = 0
-                for i, hi in enumerate(bounds):  # repro-lint: disable=R001 (O(k) emit, charged below)
-                    if hi > lo:
-                        out[i] = flat[lo:hi]
-                    lo = hi
+                rows = np.repeat(np.arange(k, dtype=np.int64), counts)[keep]
+                nbrs = self._nbr[slots[keep]]
         self.tracker.charge(
             k * (t_count + 1) * log2_ceil(max(2, self.n)),
             log2_ceil(max(2, self.n)) + 1,
         )
+        if as_arrays:
+            return rows, nbrs
+        out: list[list[int]] = [[] for _ in range(k)]
+        flat = nbrs.tolist()
+        bounds = np.cumsum(np.bincount(rows, minlength=k)).tolist()
+        lo = 0
+        for i, hi in enumerate(bounds):  # repro-lint: disable=R001 (O(k) emit, charged above)
+            if hi > lo:
+                out[i] = flat[lo:hi]
+            lo = hi
         return out

@@ -68,3 +68,23 @@ class TestFileIO:
         ]) == 0
         root, parent, _ = load_dfs_tree(dst)
         assert is_valid_dfs_tree(g, root, parent)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("0 1\n1 1\n1 2\n", "g.txt:2: self-loop (1, 1)"),
+            ("0 1\n1 2\n2 1\n", "g.txt:3: duplicate edge (1, 2) (first on line 2)"),
+        ],
+    )
+    def test_dfs_rejects_bad_edge_list_with_exit_2(
+        self, tmp_path, capsys, text, reason
+    ):
+        src = tmp_path / "g.txt"
+        src.write_text(text)
+        assert main(["dfs", "--edge-list", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro dfs: ")
+        assert lines[0].endswith(reason)

@@ -47,6 +47,20 @@ class TestEdgeList:
         with pytest.raises(ValueError, match="negative"):
             read_edge_list(p)
 
+    def test_self_loop_names_the_line(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_text("# comment\n0 1\n3 3\n")
+        with pytest.raises(ValueError, match=r"g\.txt:3: self-loop \(3, 3\)"):
+            read_edge_list(p)
+
+    def test_duplicate_edge_names_both_lines(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_text("0 1\n2 1\n1 0\n")
+        with pytest.raises(
+            ValueError, match=r"g\.txt:3: duplicate edge \(0, 1\) \(first on line 1\)"
+        ):
+            read_edge_list(p)
+
 
 class TestDimacs:
     def test_roundtrip(self, tmp_path):

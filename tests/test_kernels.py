@@ -32,6 +32,7 @@ from repro.kernels.dispatch import (
     set_default_backend,
     use_backend,
 )
+from repro.kernels import rng as rng_mod
 from repro.kernels.rng import LockstepUniform, randomstate_view, sync_python_rng
 from repro.kernels.subgraph import induced_subgraph_np
 from repro.listrank.ranking import (
@@ -459,6 +460,40 @@ class TestRngBridge:
         with LockstepUniform(rng):
             pass
         assert rng.getstate() == state
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [30],  # below the crossover: drawn straight from rng
+            [rng_mod._SMALL - 1],
+            [rng_mod._SMALL],  # at the crossover: through the view
+            [2 * rng_mod._SMALL + 5],
+            # one call mixing both paths; small draws after the view
+            # opened must come from the view
+            [0, 3, rng_mod._SMALL - 1, 7, rng_mod._SMALL, 1, 40, 0, 9000, 2],
+        ],
+    )
+    def test_lockstep_uniform_stream_identity(self, sizes):
+        rng = random.Random(2024)
+        probe = random.Random(2024)
+        with LockstepUniform(rng) as uni:
+            for k in sizes:
+                got = uni.draw(k)
+                assert got.dtype == np.float64 and got.shape == (k,)
+                assert got.tolist() == [probe.random() for _ in range(k)]
+        assert rng.random() == probe.random()
+        assert rng.getstate() == probe.getstate()
+
+    def test_lockstep_uniform_small_batches_skip_the_view(self, monkeypatch):
+        def no_view(_rng):
+            raise AssertionError("state round trip below the crossover")
+
+        monkeypatch.setattr(rng_mod, "randomstate_view", no_view)
+        rng, probe = random.Random(9), random.Random(9)
+        with LockstepUniform(rng) as uni:
+            for k in (1, 30, rng_mod._SMALL - 1):
+                assert uni.draw(k).tolist() == [probe.random() for _ in range(k)]
+        assert rng.random() == probe.random()
 
     def test_lockstep_matching_preserves_stream(self):
         g = G.gnm_random_connected_graph(60, 150, seed=2)

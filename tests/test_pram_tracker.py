@@ -139,6 +139,23 @@ class TestTrackerParallel:
         assert t.work == 10 + 8 + 2
 
 
+class TestParallelOps:
+    """``parallel_ops`` is the one aggregate charge the array merge loop
+    makes for its commit and kill passes: it must equal ``parallel_for``
+    over the same number of one-op branches, exactly."""
+
+    @pytest.mark.parametrize("fork_overhead", [True, False])
+    def test_equals_parallel_for_of_unit_branches(self, fork_overhead):
+        for k in list(range(0, 20)) + [31, 32, 33, 1000]:
+            ref = Tracker(fork_overhead=fork_overhead)
+            agg = Tracker(fork_overhead=fork_overhead)
+            ref.charge(5, 7)  # a nonzero starting point
+            agg.charge(5, 7)
+            ref.parallel_for(range(k), lambda _: ref.op(1))
+            agg.parallel_ops(k)
+            assert agg.snapshot() == ref.snapshot(), k
+
+
 class TestMeasurement:
     def test_measure_block(self):
         t = Tracker(fork_overhead=False)

@@ -209,3 +209,57 @@ def test_empty_lines_are_skipped_not_answered():
         with ServiceClient(host, port) as c:
             c._sock.sendall(b"\n\n")
             assert c.op("ping", id="after-blanks")["id"] == "after-blanks"
+
+
+# ----------------------------------------------------------------------
+# JSON booleans are not integers
+# ----------------------------------------------------------------------
+
+
+def test_boolean_sizes_roots_and_seeds_are_rejected():
+    cases = [
+        {"op": "load", "graph": "g", "n": True, "edges": []},
+        {"op": "dfs", "graph": "g", "root": False, "seed": 0},
+        {"op": "dfs", "graph": "g", "root": 0, "seed": True},
+    ]
+    for req in cases:
+        try:
+            protocol.validate_request(dict(req, id=7))
+        except protocol.ProtocolError as exc:
+            assert exc.code == "bad_field"
+            assert exc.req_id == 7
+        else:
+            raise AssertionError(f"accepted {req}")
+
+
+def test_boolean_vertex_ids_in_pairs_are_rejected():
+    for field, op in (("edges", "load"), ("insert", "update"),
+                      ("delete", "update")):
+        req = {"op": op, "graph": "g", field: [[0, 1], [True, 2]]}
+        if op == "load":
+            req["n"] = 3
+        try:
+            protocol.validate_request(req)
+        except protocol.ProtocolError as exc:
+            assert exc.code == "bad_field"
+            assert field in str(exc)
+        else:
+            raise AssertionError(f"accepted {req}")
+
+
+def test_boolean_fields_get_a_structured_error_in_process():
+    async def main():
+        n, edges = _family_edges()
+        async with ServiceHandle() as h:
+            r = await h.op("load", graph="b", n=True, edges=[])
+            assert not r["ok"] and r["error"]["code"] == "bad_field"
+            await h.op("load", graph="g", n=n, edges=edges)
+            r = await h.op("update", graph="g", insert=[[False, 5]])
+            assert not r["ok"] and r["error"]["code"] == "bad_field"
+            r = await h.op("dfs", graph="g", root=True, seed=0)
+            assert not r["ok"] and r["error"]["code"] == "bad_field"
+            # the graph is untouched and still answers correctly
+            q = await h.op("dfs", graph="g", root=0, seed=0)
+            assert tree_bytes(q["tree"]) == _oracle_bytes(n, edges, 0, 0)
+
+    run(main())
