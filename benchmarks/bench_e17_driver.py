@@ -49,6 +49,11 @@ E2E_RATIO_FLOOR = 3.0
 #: smoke-scale floor for CI (measured ~3.5–4× at n = 2000)
 SMOKE_RATIO_FLOOR = 1.8
 
+#: the absorption structure every end-to-end run passes, and the ledger
+#: stamp of what the published entries ran (both engines, that structure)
+STRUCTURE = "flat"
+RAN = {"kernel_backend": ["numpy", "tracked"], "structure": STRUCTURE}
+
 
 def _best_of(fn, reps: int) -> tuple[float, object]:
     best, out = float("inf"), None
@@ -113,13 +118,15 @@ def run_end_to_end(sizes=E2E_SIZES, tracked_reps=1, numpy_reps=1):
         g = gnm_random_connected_graph(n, 2 * n, seed=23)
         t_tr, r_tr = _best_of(
             lambda: parallel_dfs(
-                g, 0, Tracker(), random.Random(123), kernel_backend="tracked"
+                g, 0, Tracker(), random.Random(123), backend=STRUCTURE,
+                kernel_backend="tracked",
             ),
             tracked_reps,
         )
         t_np, r_np = _best_of(
             lambda: parallel_dfs(
-                g, 0, Tracker(), random.Random(123), kernel_backend="numpy"
+                g, 0, Tracker(), random.Random(123), backend=STRUCTURE,
+                kernel_backend="numpy",
             ),
             numpy_reps,
         )
@@ -176,6 +183,7 @@ def test_e17_driver_fast_path(benchmark):
             ],
             "phase_profile": {str(n): p for n, p in profiles.items()},
         },
+        ran=RAN,
     )
     # acceptance: >=5x on the vectorized driver subsystem, identical trees
     # end-to-end (the identity asserts live inside the run functions)
@@ -249,6 +257,7 @@ def run_big() -> None:
                 resource.RUSAGE_SELF
             ).ru_maxrss,
         },
+        ran=RAN,
     )
     print(table)
     print(f"numpy phase profile: {prof}")

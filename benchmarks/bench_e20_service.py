@@ -158,13 +158,18 @@ async def _drive(handle: ServiceHandle, requests: list[dict]) -> tuple:
     return responses, stats, elapsed, audits
 
 
+#: the service configuration of the measured stream
+CONFIG = ServiceConfig(
+    kernel_backend="numpy", max_batch=64, rebuild_fraction=REBUILD_FRACTION,
+)
+#: ledger stamp: the engine and structure the stream's computes ran
+RAN = {"kernel_backend": CONFIG.kernel_backend, "structure": CONFIG.structure}
+
+
 def run_stream() -> dict:
     n, _ = _resident_graph()
     requests = _stream(n, OPS)
-    cfg = ServiceConfig(
-        kernel_backend="numpy", max_batch=64,
-        rebuild_fraction=REBUILD_FRACTION,
-    )
+    cfg = CONFIG
 
     async def main(handle):
         async with handle:
@@ -251,7 +256,7 @@ def test_e20_service_throughput(benchmark):
     # toggles (affected = two components) through the full rebuild
     assert result["incremental_batches"] >= 1, result
     assert result["rebuild_batches"] >= 1, result
-    publish("e20_service", render(result), data=result)
+    publish("e20_service", render(result), data=result, ran=RAN)
 
 
 def test_e20_service_lockstep_smoke():

@@ -17,11 +17,14 @@ gets its wall-clock seconds *and peak RSS* recorded automatically, and
 experiments that
 measure tracked work/span can attach those numbers via ``publish(...,
 data=...)`` (or ``publish_json`` directly). Each entry also records the
-git commit, the resolved kernel backend, the worker count, the machine's
-core count, and the platform active when it was written, so a diff
-across PRs (or machines — T_p curves are hardware-bound) always knows
-what produced the numbers. Regression tooling diffs this file across
-PRs instead of parsing the text tables.
+git commit, the engine(s) and absorption structure the bench passed to
+the library (``ran=``; the process default engine when it passed
+none), the worker count, the machine's core count, and the platform
+active when it was written, so a diff across PRs (or machines — T_p
+curves are hardware-bound) always knows what produced the numbers.
+Regression tooling diffs this file across PRs instead of parsing the
+text tables, and refuses to compare entries whose engine or structure
+differ.
 """
 
 from __future__ import annotations
@@ -41,12 +44,16 @@ BENCH_JSON = os.path.join(RESULTS_DIR, "BENCH_PR8.json")
 _git_sha: str | None = None
 
 
-def _provenance() -> dict:
-    """Reproducibility stamp: commit, backend, workers, cores, platform.
+def _provenance(ran: dict | None) -> dict:
+    """Reproducibility stamp: commit, engine, structure, workers, cores,
+    platform.
 
-    ``workers``/``cpu_count``/``platform`` make T_p entries portable —
-    a speedup curve means nothing without the width it ran at and the
-    machine it ran on.
+    ``ran`` is what the bench passed to the library — ``kernel_backend``
+    (one engine name, or a list when it compares several) and
+    ``structure``; ``None`` means it passed no engine, so the process
+    default ran. ``workers``/``cpu_count``/``platform`` make T_p entries
+    portable — a speedup curve means nothing without the width it ran at
+    and the machine it ran on.
     """
     global _git_sha
     if _git_sha is None:
@@ -65,15 +72,16 @@ def _provenance() -> dict:
 
     return {
         "git_sha": _git_sha,
-        "kernel_backend": default_backend(),
+        **(ran if ran is not None else {"kernel_backend": default_backend()}),
         "workers": default_workers(),
         "cpu_count": os.cpu_count() or 1,
         "platform": f"{platform.system()}-{platform.machine()}-py{platform.python_version()}",
     }
 
 
-def publish_json(name: str, record: dict) -> None:
-    """Merge ``record`` under ``name`` in the machine-readable ledger."""
+def publish_json(name: str, record: dict, ran: dict | None = None) -> None:
+    """Merge ``record`` under ``name`` in the machine-readable ledger,
+    stamped with the provenance of ``ran`` (see :func:`_provenance`)."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     try:
         with open(BENCH_JSON) as fh:
@@ -81,18 +89,21 @@ def publish_json(name: str, record: dict) -> None:
     except (FileNotFoundError, json.JSONDecodeError):
         data = {}
     data.setdefault(name, {}).update(record)
-    data[name].update(_provenance())
+    data[name].update(_provenance(ran))
     with open(BENCH_JSON, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def publish(name: str, text: str, data: dict | None = None) -> None:
+def publish(
+    name: str, text: str, data: dict | None = None, ran: dict | None = None
+) -> None:
     """Print an experiment's table and persist it under results/.
 
     ``data``, when given, is merged into ``BENCH_PR8.json`` under the
     experiment's name — use it for the tracked work/span numbers the
-    text table reports, so regressions are diffable by machine.
+    text table reports, so regressions are diffable by machine. ``ran``
+    is the engine/structure stamp (see :func:`_provenance`).
     """
     os.makedirs(RESULTS_DIR, exist_ok=True)
     banner = f"\n===== {name} =====\n{text}\n"
@@ -100,7 +111,7 @@ def publish(name: str, text: str, data: dict | None = None) -> None:
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as fh:
         fh.write(text + "\n")
     if data is not None:
-        publish_json(name, data)
+        publish_json(name, data, ran)
 
 
 @pytest.fixture(autouse=True)
@@ -114,10 +125,13 @@ def _bench_walltime(request):
     """
     t0 = time.perf_counter()
     yield
+    # no engine stamp: a test may run any engines, and the entry it
+    # publishes itself says which
     publish_json(
         request.node.name,
         {
             "wall_s": round(time.perf_counter() - t0, 3),
             "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         },
+        ran={},
     )

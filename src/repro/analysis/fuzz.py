@@ -6,7 +6,10 @@ absorption substrate is canonicalized, so ``parallel_dfs(...,
 kernel_backend="numpy")`` must return byte-identical trees, depths, and
 integer work counters. This module turns that contract into a randomized
 test: it draws graphs from every generator family
-(:data:`repro.graph.generators.FAMILIES`) and random operation sequences
+(:data:`repro.graph.generators.FAMILIES`) plus adversarial shapes
+(:data:`ADVERSARIAL_FAMILIES`: long paths, stars, complete bipartite
+graphs, forests of tiny components, mostly-isolated vertices, n in
+{1, 2}) and random operation sequences
 for the Lemma 5.1 absorption structure, runs them under both backends,
 and cross-checks the results against each other and against brute-force
 oracles (:mod:`repro.core.verify` for trees, a dict/set reference model
@@ -70,12 +73,14 @@ from ..pram.tracker import Tracker
 from ..structures.absorb_ds import make_absorption_structure
 
 __all__ = [
+    "ADVERSARIAL_FAMILIES",
     "FUZZ_FAMILIES",
     "NaiveAbsorptionModel",
     "check_dfs_case",
     "check_ops_case",
     "check_service_case",
     "make_ops",
+    "fuzz_graph",
     "run",
     "main",
 ]
@@ -86,6 +91,74 @@ FUZZ_FAMILIES = [
     "gnm", "grid", "tree", "regular", "path", "smallworld",
     "spider", "cycletree", "bipartite", "powerlaw",
 ]
+
+
+def _relabeled(n: int, edges: list[tuple[int, int]], seed: int) -> Graph:
+    """``Graph(n, edges)`` under a seeded vertex permutation, so a shape's
+    structure never lines up with vertex-id order."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return Graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+def _adv_longpath(n: int, seed: int) -> Graph:
+    # 4x longer than the other families: deep rooted forests, many
+    # pointer-doubling rounds, long parent walks after every cut
+    n = 4 * n
+    return _relabeled(n, [(i, i + 1) for i in range(n - 1)], seed)
+
+
+def _adv_star(n: int, seed: int) -> Graph:
+    return _relabeled(n, [(0, i) for i in range(1, n)], seed)
+
+
+def _adv_kbipartite(n: int, seed: int) -> Graph:
+    a = 1 + seed % 4
+    return _relabeled(n, [(i, j) for i in range(a) for j in range(a, n)], seed)
+
+
+def _adv_tinyforest(n: int, seed: int) -> Graph:
+    # components of 1-3 vertices: singletons, edges and paths of two
+    rng = random.Random(seed)
+    edges: list[tuple[int, int]] = []
+    start = 0
+    while start < n:
+        k = min(n - start, rng.randrange(1, 4))
+        edges.extend((start + i, start + i + 1) for i in range(k - 1))
+        start += k
+    return _relabeled(n, edges, seed)
+
+
+def _adv_isolated(n: int, seed: int) -> Graph:
+    # three quarters of the vertices isolated: most roots have no edge
+    core = max(2, n // 4)
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(core) for j in range(i + 1, core)]
+    return _relabeled(n, rng.sample(pairs, min(len(pairs), 2 * core)), seed)
+
+
+def _adv_tiny(n: int, seed: int) -> Graph:
+    # n in {1, 2}: the one-vertex graph, two isolated vertices, one edge
+    return [Graph(1, []), Graph(2, []), Graph(2, [(0, 1)])][seed % 3]
+
+
+#: adversarial shapes the generator families do not cover, drawn
+#: alongside them; all go through the same oracle and engine matrix
+ADVERSARIAL_FAMILIES = {
+    "longpath": _adv_longpath,
+    "star": _adv_star,
+    "kbipartite": _adv_kbipartite,
+    "tinyforest": _adv_tinyforest,
+    "isolated": _adv_isolated,
+    "tiny": _adv_tiny,
+}
+
+
+def fuzz_graph(family: str, n: int, seed: int) -> Graph:
+    """A generator family (:func:`make_family`) or an adversarial one."""
+    adv = ADVERSARIAL_FAMILIES.get(family)
+    return adv(n, seed) if adv is not None else make_family(family, n, seed=seed)
+
 
 #: kernel backends every DFS case runs under — byte-identity is checked
 #: pairwise against the tracked instrument. The parallel column runs the
@@ -120,7 +193,7 @@ def check_dfs_case(
     driver rng, then checks backend identity, the brute-force DFS-tree
     oracle, depth consistency, and the work/span theorem envelopes.
     """
-    g = make_family(family, n, seed=graph_seed)
+    g = fuzz_graph(family, n, graph_seed)
     root = root % g.n
     results = {}
     trackers = {}
@@ -557,6 +630,7 @@ def run(
     (params, message) pairs), and ``elapsed``.
     """
     rng = random.Random(seed)
+    families = FUZZ_FAMILIES + list(ADVERSARIAL_FAMILIES)
     t0 = time.perf_counter()
     cases = 0
     dfs_cases = 0
@@ -573,7 +647,7 @@ def run(
         if draw < dfs_fraction:
             params = {
                 "kind": "dfs",
-                "family": rng.choice(FUZZ_FAMILIES),
+                "family": rng.choice(families),
                 "n": rng.randrange(16, 81),
                 "graph_seed": rng.randrange(1 << 16),
                 "rng_seed": rng.randrange(1 << 16),
@@ -610,15 +684,15 @@ def run(
         else:
             params = {
                 "kind": "ops",
-                "family": rng.choice(FUZZ_FAMILIES),
+                "family": rng.choice(families),
                 "n": rng.randrange(8, 33),
                 "graph_seed": rng.randrange(1 << 16),
                 "ops_seed": rng.randrange(1 << 16),
                 "steps": rng.randrange(2, 9),
             }
             try:
-                g = make_family(
-                    params["family"], params["n"], seed=params["graph_seed"]
+                g = fuzz_graph(
+                    params["family"], params["n"], params["graph_seed"]
                 )
                 ops = make_ops(
                     random.Random(params["ops_seed"]), params["steps"]

@@ -29,6 +29,11 @@ Metric classes (``classify``):
 Only paths present in **both** ledgers are compared, so consecutive PR
 ledgers with disjoint experiment sets pass trivially — the gate bites
 exactly when a PR re-measures an experiment a previous PR published.
+
+Entries are compared only when they ran the same thing: an experiment
+whose provenance stamp (:data:`PROVENANCE_KEYS` — the engine(s) and the
+absorption structure the bench passed) differs between the two ledgers
+is **refused** — listed in the report, none of its metrics compared.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 __all__ = [
+    "PROVENANCE_KEYS",
     "Delta",
     "RegressionReport",
     "classify",
@@ -52,6 +58,10 @@ __all__ = [
     "numeric_leaves",
     "main",
 ]
+
+#: provenance fields two ledger entries must agree on to be compared (a
+#: field absent from either entry is not known to differ)
+PROVENANCE_KEYS = ("kernel_backend", "structure")
 
 #: leaf names (last dotted segment) gated by default: dimensionless and
 #: machine-portable, higher is better
@@ -156,6 +166,9 @@ class RegressionReport:
     compared: int
     regressions: list[Delta]
     warnings: list[Delta]
+    #: (entry name, provenance field, old value, new value) of every
+    #: entry left uncompared because its provenance differs
+    refused: list[tuple[str, str, Any, Any]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -173,6 +186,11 @@ def compare(
     new_path: str = "<new>",
 ) -> RegressionReport:
     """Diff two ledger documents into a :class:`RegressionReport`."""
+    refused = _provenance_mismatches(old_doc, new_doc)
+    if refused:
+        skip = {name for name, *_ in refused}
+        old_doc = {k: v for k, v in old_doc.items() if k not in skip}
+        new_doc = {k: v for k, v in new_doc.items() if k not in skip}
     old = numeric_leaves(old_doc)
     new = numeric_leaves(new_doc)
     regressions: list[Delta] = []
@@ -191,7 +209,27 @@ def compare(
             regressions.append(d)
         else:
             warns.append(d)
-    return RegressionReport(old_path, new_path, compared, regressions, warns)
+    return RegressionReport(
+        old_path, new_path, compared, regressions, warns, refused
+    )
+
+
+def _provenance_mismatches(
+    old_doc: Any, new_doc: Any
+) -> list[tuple[str, str, Any, Any]]:
+    """The shared top-level entries whose provenance stamps disagree."""
+    if not isinstance(old_doc, dict) or not isinstance(new_doc, dict):
+        return []
+    out = []
+    for name in sorted(set(old_doc) & set(new_doc)):
+        a, b = old_doc[name], new_doc[name]
+        if not isinstance(a, dict) or not isinstance(b, dict):
+            continue
+        for key in PROVENANCE_KEYS:
+            if key in a and key in b and a[key] != b[key]:
+                out.append((name, key, a[key], b[key]))
+                break
+    return out
 
 
 def _load(path: str) -> Any:
@@ -247,7 +285,12 @@ def format_report(report: RegressionReport) -> str:
         f"{a} -> {b}: {report.compared} shared metric(s), "
         f"{len(report.regressions)} regression(s), "
         f"{len(report.warnings)} warning(s)"
+        + (f", {len(report.refused)} refused" if report.refused else "")
     ]
+    for name, key, old, new in report.refused:
+        lines.append(
+            f"  refused: {name} ran differently ({key} {old!r} -> {new!r})"
+        )
     for tag, deltas in (
         ("REGRESSION", report.regressions),
         ("warning", report.warnings),
@@ -326,6 +369,10 @@ def main(argv: list[str] | None = None) -> int:
                 "ok": r.ok,
                 "regressions": [vars(d) for d in r.regressions],
                 "warnings": [vars(d) for d in r.warnings],
+                "refused": [
+                    {"entry": name, "field": key, "old": a, "new": b}
+                    for name, key, a, b in r.refused
+                ],
             }
             for r in reports
         ]

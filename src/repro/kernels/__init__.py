@@ -99,7 +99,6 @@ register_kernel("anderson_miller_ranks", "numpy", listrank.anderson_miller_ranks
 register_kernel("euler_tour_order", "numpy", euler.euler_tour_order)
 register_kernel("maximal_matching_raw", "numpy", matching.maximal_matching_graph)
 register_kernel("rebuild_rooted_forest", "numpy", tour_flat.rebuild_rooted_forest)
-register_kernel("component_min_packed", "numpy", tour_flat.component_min_packed)
 
 # parallel (multiprocess) column: tiled shims over the numpy kernels for
 # the operations whose merge step is a canonical reduction; every other
@@ -117,7 +116,6 @@ register_kernel("spanning_forest", "parallel", tiling.spanning_forest_par)
 register_kernel("maximal_matching", "parallel", tiling.maximal_matching_par)
 register_kernel("witness_lexmax", "parallel", tiling.witness_lexmax_par)
 register_kernel("nontree_counts", "parallel", tiling.nontree_counts_par)
-register_kernel("component_min_packed", "parallel", tiling.component_min_packed_par)
 register_kernel("rebuild_rooted_forest", "parallel", tiling.rebuild_rooted_forest_par)
 
 

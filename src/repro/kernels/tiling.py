@@ -38,7 +38,7 @@ from . import scan as _scan
 from .components import components_arrays
 from .listrank import wyllie_ranks
 from .matching import maximal_matching_np
-from .tour_flat import NO_KEY, rebuild_rooted_forest
+from .tour_flat import rebuild_rooted_forest
 
 __all__ = [
     "parallel_threshold",
@@ -55,7 +55,6 @@ __all__ = [
     "maximal_matching_par",
     "witness_lexmax_par",
     "nontree_counts_par",
-    "component_min_packed_par",
     "rebuild_rooted_forest_par",
 ]
 
@@ -169,12 +168,6 @@ def _tile_cc_propose(
     key = np.minimum(l1, l2) * key_m + (cross + lo)  # global edge ids
     np.minimum.at(out, np.maximum(l1, l2), key)
     return True
-
-
-def _tile_scatter_min(idx, keys, rows, row, lo, hi, fill) -> None:
-    out = rows[row]
-    out[...] = fill
-    np.minimum.at(out, idx[lo:hi], keys[lo:hi])
 
 
 def _tile_scatter_min2(u, v, keys, rows, row, lo, hi, fill) -> None:
@@ -524,44 +517,6 @@ def nontree_counts_par(n: int, nt_u, nt_v) -> np.ndarray:
             for i, (lo, hi) in enumerate(bounds)
         ])
         return rows.sum(axis=0)
-
-
-def component_min_packed_par(
-    label: np.ndarray,
-    keys: np.ndarray,
-    members: np.ndarray,
-    t: Tracker | None = None,
-) -> dict[int, int]:
-    """Tiled :func:`~repro.kernels.tour_flat.component_min_packed`."""
-    from .tour_flat import component_min_packed
-
-    members_arr = np.asarray(members, dtype=np.int64)
-    pool = _maybe_pool(int(members_arr.size))
-    if pool is None:
-        return component_min_packed(label, keys, members_arr, t)
-    sel = members_arr[keys[members_arr] != NO_KEY]
-    if sel.size == 0:
-        return {}
-    if t is not None:
-        t.charge(
-            int(members_arr.size), log2_ceil(max(2, int(members_arr.size)))
-        )
-    labs = label[sel]
-    uniq, inv = np.unique(labs, return_inverse=True)
-    bounds = _tile_bounds(int(sel.size), pool.width)
-    with ShmArena() as a:
-        a.put("idx", inv.astype(np.int64, copy=False))
-        a.put("keys", keys[sel])
-        rows = a.empty("rows", (len(bounds), int(uniq.size)), np.int64)
-        pool.run([
-            (_FN % "_tile_scatter_min",
-             {"idx": a.ref("idx"), "keys": a.ref("keys"),
-              "rows": a.ref("rows"), "row": i, "lo": lo, "hi": hi,
-              "fill": NO_KEY})
-            for i, (lo, hi) in enumerate(bounds)
-        ])
-        best = np.minimum.reduce(rows, axis=0)
-    return {int(lab): int(k) for lab, k in zip(uniq, best)}
 
 
 def rebuild_rooted_forest_par(

@@ -3,10 +3,9 @@
 The flat batch Euler-tour structure (:mod:`repro.structures.flat_absorb`)
 does not maintain its level-0 forest augmentations by per-rotation
 splays: after the initial build it patches ``parent`` by O(1) surgery on
-cuts and path-reversal on links, and relabels components with a few
-masked passes per batch. This module is the *initial* whole-forest
-build (and the per-batch min aggregate): given a forest as endpoint
-arrays, compute rooted-forest ``parent``/``depth``/``label`` arrays in
+cuts and path-reversal on links, and relabels only the pieces a batch
+splits off. This module is the *initial* whole-forest build: given a
+forest as endpoint arrays, compute rooted-forest ``parent``/``depth``/``label`` arrays in
 a constant number of sorts, gathers and pointer-jumping rounds — the
 same [TV85] + Wyllie (Lemma 2.4) toolkit as :mod:`repro.kernels.euler`,
 applied to a whole forest at once:
@@ -20,11 +19,6 @@ applied to a whole forest at once:
 * ``depth`` is a segmented prefix sum of +-1 over the tour order;
 * ``label`` (the canonical min-vertex-id component representative, the
   same convention as ``connected_components``) is a per-cycle min.
-
-``component_min_packed`` is the companion aggregate: the lex-min
-``(key, vertex)`` per component over packed int64 keys, replacing the
-Euler-tour argmin augmentation (``component_min_key``) with one
-``np.minimum.at`` scatter per rebuild.
 """
 
 from __future__ import annotations
@@ -35,11 +29,7 @@ from ..pram.tracker import Tracker, log2_ceil
 from .euler import euler_tour_successors
 from .listrank import wyllie_ranks
 
-__all__ = ["NO_KEY", "rebuild_rooted_forest", "component_min_packed"]
-
-#: sentinel for "vertex holds no key" in the packed key array; larger than
-#: any real packed key (keys are ``-depth * n + v`` with depth >= 0)
-NO_KEY = np.int64(1) << np.int64(62)
+__all__ = ["rebuild_rooted_forest"]
 
 
 def rebuild_rooted_forest(
@@ -123,32 +113,3 @@ def rebuild_rooted_forest(
     if t is not None:
         lg = log2_ceil(max(2, a2)) + 1
         t.charge(a2 * rounds + members.size, rounds * lg)
-
-
-def component_min_packed(
-    label: np.ndarray,
-    keys: np.ndarray,
-    members: np.ndarray,
-    t: Tracker | None = None,
-) -> dict[int, int]:
-    """Per-component lex-min packed key over ``members``.
-
-    ``keys[v]`` is ``key * n + v`` (``NO_KEY`` if absent), so the int64
-    minimum per component label *is* the canonical lex-min
-    ``(key, vertex)`` argmin of the Euler-tour aggregate. Returns
-    ``{component label: packed min}`` for components with at least one
-    keyed member.
-    """
-    members = np.asarray(members, dtype=np.int64)
-    if members.size == 0:
-        return {}
-    sel = members[keys[members] != NO_KEY]
-    if sel.size == 0:
-        return {}
-    labs = label[sel]
-    uniq, inv = np.unique(labs, return_inverse=True)
-    best = np.full(uniq.size, NO_KEY, dtype=np.int64)
-    np.minimum.at(best, inv, keys[sel])
-    if t is not None:
-        t.charge(int(members.size), log2_ceil(max(2, int(members.size))))
-    return {int(lab): int(k) for lab, k in zip(uniq, best)}

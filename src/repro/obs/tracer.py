@@ -93,7 +93,7 @@ class Span:
         tr._stack().append(self)
         t = tr.tracker
         if t is not None:
-            self.work0, self.depth0 = t.snapshot()
+            self.work0, self.depth0 = t.work, t.span
         self.t0 = tr.clock()
         return self
 
@@ -102,11 +102,8 @@ class Span:
         self.dur = tr.clock() - self.t0
         t = tr.tracker
         if t is not None:
-            from ..pram.tracker import Cost
-
-            d = t.delta(Cost(self.work0, self.depth0))
-            self.work_delta = d.work
-            self.span_delta = d.span
+            self.work_delta = t.work - self.work0
+            self.span_delta = t.span - self.depth0
         stack = tr._stack()
         popped = stack.pop()
         assert popped is self, "span stack corrupted (overlapping exits)"

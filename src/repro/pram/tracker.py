@@ -262,7 +262,7 @@ class Tracker:
         tuple-unpackable :class:`Cost`.
 
         Reading the totals is *free* in the cost model: the observability
-        layer snapshots at every span boundary, and instrumentation must
+        layer reads them at every span boundary, and instrumentation must
         not perturb the quantities it measures (pinned by test).
         """
         return Cost(self.work, self.span)
@@ -270,8 +270,7 @@ class Tracker:
     def delta(self, since: Cost) -> Cost:
         """Totals accumulated since an earlier :meth:`snapshot`.
 
-        Like :meth:`snapshot`, charges nothing — this is the read the
-        tracer uses to attribute tracked work/span to a span.
+        Like :meth:`snapshot`, charges nothing.
         """
         return Cost(self.work - since.work, self.span - since.span)
 

@@ -59,6 +59,7 @@ from ..kernels.dispatch import resolve_backend
 from ..obs import runtime as obs
 from ..pram.tracker import Tracker
 from ..structures.hdt import HDTConnectivity
+from .protocol import MAX_M
 
 __all__ = ["BatchReport", "DynamicGraph"]
 
@@ -200,6 +201,10 @@ class DynamicGraph:
             )
         ins = sorted(p for p in ins_set if p not in self._edge_eid)
         dels = sorted(p for p in del_set if p in self._edge_eid)
+        if self.m + len(ins) - len(dels) > MAX_M:
+            raise ValueError(
+                f"batch would grow the graph past {MAX_M} edges"
+            )
         report = BatchReport(
             mutations=self.mutations,
             mode="noop",

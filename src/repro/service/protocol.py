@@ -13,6 +13,9 @@ Operations (``"op"`` field):
     Create a resident graph: ``{"op": "load", "graph": NAME, "n": N,
     "edges": [[u, v], ...]}`` or generated from a seeded family:
     ``{"op": "load", "graph": NAME, "family": F, "n": N, "seed": S}``.
+    ``N`` may be at most :data:`MAX_N`, and ``edges`` (like ``insert``
+    and ``delete``) at most :data:`MAX_M` pairs; larger requests get
+    error code ``too_large``.
 ``update``
     Apply an edge mutation batch: ``{"op": "update", "graph": NAME,
     "insert": [[u, v], ...], "delete": [[u, v], ...]}``.  Applied
@@ -52,6 +55,8 @@ from typing import Any, Mapping
 
 __all__ = [
     "MAX_LINE",
+    "MAX_M",
+    "MAX_N",
     "OPS",
     "ProtocolError",
     "decode_request",
@@ -65,6 +70,13 @@ __all__ = [
 
 #: hard cap on one protocol line (bytes), request or response
 MAX_LINE = 1 << 20
+
+#: largest resident graph a request may ask for: a load allocates O(n)
+#: before any query runs, so the size is checked here, at the boundary
+MAX_N = 1 << 18
+#: most edges one request may carry (``edges``, ``insert``, ``delete``)
+#: and one resident graph may hold
+MAX_M = 1 << 20
 
 #: the operations the service understands
 OPS = ("ping", "load", "update", "dfs", "stats", "graphs", "drop")
@@ -196,8 +208,21 @@ def validate_request(obj: Any) -> dict:
             raise ProtocolError(
                 "bad_field", f"field {field!r} must be an integer", rid
             )
+    if "n" in obj and obj["n"] > MAX_N:
+        raise ProtocolError(
+            "too_large",
+            f"field 'n' is {obj['n']}; the limit is {MAX_N} vertices",
+            rid,
+        )
     for field in ("edges", "insert", "delete"):
         if field in obj:
+            if isinstance(obj[field], list) and len(obj[field]) > MAX_M:
+                raise ProtocolError(
+                    "too_large",
+                    f"field {field!r} holds {len(obj[field])} pairs; "
+                    f"the limit is {MAX_M}",
+                    rid,
+                )
             obj[field] = normalize_pairs(obj[field], field, rid)
     return obj
 

@@ -12,26 +12,35 @@ Section 6.2 licence to *recompute the augmentations per batch* instead of
 maintaining them per rotation:
 
 * the level-0 spanning forest lives in flat numpy arrays — ``parent``
-  (a rooted orientation, roots arbitrary) and ``label`` (min-id component
-  representative). The initial build is one vectorized [TV85]+Wyllie pass
+  (a rooted orientation, roots arbitrary), ``plev`` (the level of each
+  vertex's parent edge) and ``label`` (min-id component representative).
+  The initial build is one vectorized [TV85]+Wyllie pass
   (:func:`repro.kernels.tour_flat.rebuild_rooted_forest`); after that the
   orientation is maintained *surgically*: a cut resets the child's
   pointer in O(1), a replacement link re-roots the shallower side by one
-  path reversal — tree paths are root-independent, so the canonical
-  answers never see the rooting;
-* labels, the label -> members map, and the lowest-neighbor argmin cache
-  (packed int64 keys, :func:`repro.kernels.tour_flat.component_min_packed`)
-  are re-canonicalized once per ``batch_delete`` by a constant number of
-  vectorized passes over the affected components (mask, relabel scatter,
-  ``np.minimum.at``) — no pointer-doubling rounds on the hot path;
+  path reversal (each reversed edge carries its ``plev`` along), and a
+  promotion bumps its child's ``plev`` — tree paths are
+  root-independent, so the canonical answers never see the rooting;
+* per batch only the pieces that split off are relabeled; a surviving
+  component keeps its label (unless its min vertex left), its member
+  array (a superset, compacted once half of it is stale) and its
+  lowest-neighbor heap — a lazy min-heap of packed int64 keys, valid
+  because an entry is checked against ``keys`` and ``label`` when it
+  reaches the top;
 * ``find_path_s2p`` is depth-free: two walkers climb the parent pointers
   alternately, marking their trails; the first trail collision is the
   LCA, so the walk costs O(|path|) pointer steps — not O(tree depth) —
   replacing the mirror's splay descent;
 * the HDT level structure (:class:`FlatForest`) keeps per-level adjacency
-  dicts and nontree sets and runs the replacement search with plain BFS —
-  the small side is found by *alternating* bidirectional BFS (cost
-  O(2 |small|), matching the tracked structure's O(|small|) sweep).
+  dicts and nontree sets. The replacement search takes an isolated
+  endpoint inline, reuses the previous level's side when no level-i
+  tree edge touches it, finds the small side by *alternating*
+  bidirectional BFS (cost O(2 |small|), matching the tracked structure's
+  O(|small|) sweep) that also collects the side's level-i tree edges,
+  and hands sides of ``_ARRAY_SIDE`` or more vertices to one masked
+  pointer-doubling pass over ``parent``/``plev``. Every path charges
+  what the two-pass BFS + collect search charged (a function of the
+  side's size and which endpoint won).
 
 Byte-identical contract (PR 3 canonicalization, gated by the differential
 fuzz harness): min-id ``find_cc``, lex argmin ``lowest_node``,
@@ -43,25 +52,32 @@ link-cut forest (``path_prefix_to_first_flagged``).
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..graph.graph import Graph
 from ..graph.connectivity import spanning_forest
 from ..kernels.dispatch import resolve_backend
-from ..kernels.tour_flat import (
-    NO_KEY,
-    component_min_packed,
-    rebuild_rooted_forest,
-)
+from ..kernels.tour_flat import rebuild_rooted_forest
 from ..obs import runtime as obs
 from ..pram.tracker import Tracker
 from .hdt import ForestChange
 
 __all__ = ["FlatForest", "FlatAbsorptionStructure"]
+
+
+#: sentinel for "vertex holds no key" in the packed key array; larger than
+#: any real packed key (keys are ``-depth * n + v`` with depth >= 0)
+NO_KEY = np.int64(1) << np.int64(62)
+
+#: smallest F_i side the replacement search takes from arrays: a BFS
+#: that has popped this many vertices on each side without exhausting
+#: one hands over to one masked pointer-doubling pass over the level-0
+#: tree (and every lower level of the same cut goes there directly)
+_ARRAY_SIDE = 512
 
 
 class FlatForest:
@@ -70,9 +86,9 @@ class FlatForest:
     Maintains the same level scheme as :class:`~repro.structures.hdt.
     HDTConnectivity` — levels, promotions, sorted replacement scans — and
     emits the identical :class:`ForestChange` sequence for any deletion
-    batch, but represents the level-0 forest as ``parent``/``label``
-    arrays (surgical cut/link updates plus one vectorized relabel pass
-    per batch) instead of splayed Euler tours.
+    batch, but represents the level-0 forest as ``parent``/``plev``/
+    ``label`` arrays (surgical cut/link updates plus a relabel of the
+    split-off pieces per batch) instead of splayed Euler tours.
     """
 
     def __init__(
@@ -100,19 +116,27 @@ class FlatForest:
         self.incident: list[set[int]] = [set(eids) for eids in g.adj_eids]
         self._pair_to_eid: dict[tuple[int, int], int] = {}
         # rooted-forest arrays: parent is maintained surgically (cut =
-        # O(1) child reset, link = one path reversal); label is
-        # re-canonicalized per batch by _finalize_batch
+        # O(1) child reset, link = one path reversal); plev[x] is the
+        # level of the edge (x, parent[x]), -1 at roots; label is the
+        # component's min vertex id, restamped for split pieces only
         self.parent = np.full(g.n, -1, dtype=np.int64)
+        self.plev = np.full(g.n, -1, dtype=np.int64)
         self.label = np.arange(g.n, dtype=np.int64)
-        # packed lowest-neighbor keys + per-component min cache
+        #: scratch: vertex -> position in the component _side_arrays scans
+        self._pos = np.zeros(g.n, dtype=np.int64)
+        #: packed lowest-neighbor keys (key * n + v, NO_KEY if unset)
         self.keys = np.full(g.n, NO_KEY, dtype=np.int64)
-        self._comp_min: dict[int, int] = {}
-        #: label -> sorted member vertex array; lets the per-batch
-        #: finalize pass gather affected components without O(n) scans
+        #: label -> lazy min-heap of packed keys; an entry is live while
+        #: ``keys[v]`` still equals it and v still carries the label
+        self._heaps: dict[int, list[int]] = {}
+        #: label -> sorted vertex array, a superset of the component
+        #: (vertices split away keep their slot until a compaction)
         self._members: dict[int, np.ndarray] = {}
-        #: (temporary token, sorted members) of each unrepaired split of
-        #: the in-flight batch, consumed by _finalize_batch
-        self._pieces: list[tuple[int, np.ndarray]] = []
+        #: label -> exact component size
+        self._size: dict[int, int] = {}
+        #: (temporary token, size) of each unrepaired split of the
+        #: in-flight batch, consumed by _finalize_batch
+        self._pieces: list[tuple[int, int]] = []
         # observability: finalize passes/sizes replace rotation counts
         self._c_promote = obs.metrics().counter("hdt.promotions")
         self._h_scan = obs.metrics().histogram("hdt.replacement_scan")
@@ -150,76 +174,90 @@ class FlatForest:
             self.parent, np.zeros(g.n, dtype=np.int64), self.label,
             members, eu, ev, t,
         )
+        self.plev[self.parent >= 0] = 0
         self._c_rebuild.value += 1
         self._h_rebuild.observe(g.n)
-        self._regroup_members(members)
+        self._group_members()
         lg = (max(2, g.n) - 1).bit_length() + 1
         t.charge(g.m + g.n, lg)
+
+    def _group_members(self) -> None:
+        """Build the label -> members map and sizes from ``label``."""
+        order = np.argsort(self.label, kind="stable")
+        sorted_labs = self.label[order]
+        starts = np.flatnonzero(
+            np.diff(sorted_labs, prepend=sorted_labs[:1] - 1)
+        ).tolist() + [self.n]
+        # O(#components) dict updates; the caller charges the build pass
+        for gi in range(len(starts) - 1):  # repro-lint: disable=R001
+            lo, hi = starts[gi], starts[gi + 1]
+            lab = int(sorted_labs[lo])
+            self._members[lab] = order[lo:hi]
+            self._size[lab] = hi - lo
 
     # ------------------------------------------------------------------
     # per-batch finalize core
     # ------------------------------------------------------------------
-    def _regroup_members(self, members: np.ndarray) -> None:
-        """Refresh the label -> members map for ``members`` (a sorted
-        vertex array whose ``label`` entries are current)."""
-        if members.size == 0:
-            return
-        labs = self.label[members]
-        order = np.argsort(labs, kind="stable")
-        sorted_labs = labs[order]
-        starts = np.flatnonzero(
-            np.diff(sorted_labs, prepend=sorted_labs[0] - 1)
-        ).tolist() + [int(members.size)]
-        grouped = members[order]
-        # O(#components) dict updates; callers charge the full
-        # |members| pass that produced the grouping
-        for gi in range(len(starts) - 1):  # repro-lint: disable=R001
-            lo, hi = starts[gi], starts[gi + 1]
-            self._members[int(sorted_labs[lo])] = grouped[lo:hi]
+    def _finalize_batch(self, affected: list[int], total: int) -> None:
+        """Re-canonicalize labels after a deletion batch.
 
-    def _finalize_batch(
-        self, affected: list[int], pieces: list[tuple[int, np.ndarray]]
-    ) -> None:
-        """Re-canonicalize labels/members/min-cache after a deletion batch.
-
-        ``affected`` holds the pre-batch labels of every component that
-        lost a tree edge; ``pieces`` the (temporary token, sorted members)
-        of every split the HDT search could not repair. Each surviving
-        piece is relabeled to its min member id and its key aggregate is
-        recomputed — a constant number of vectorized passes over the
-        affected components, with no pointer-doubling rounds."""
+        ``affected`` holds the sorted pre-batch labels of every component
+        that lost a tree edge and ``total`` their pre-batch sizes summed;
+        ``self._pieces`` the (token, size) of every split the HDT search
+        could not repair. Only the pieces are relabeled and get a fresh
+        key heap; a pre-batch component keeps its label, member array and
+        heap unless its min vertex left with a piece, in which case its
+        remainder moves to its new min id. The charge is unchanged from
+        a full rescan of the affected components: O(affected) work."""
         label = self.label
-        entries: list[tuple[int, np.ndarray]] = []
-        for lab in sorted(affected):
-            arr = self._members.pop(lab, None)
-            if arr is None:  # defensively: an untracked singleton
-                arr = np.array([lab], dtype=np.int64)
-            entries.append((lab, arr))
-            self._comp_min.pop(lab, None)
-        entries.extend(pieces)
-        total = 0
-        for claim, arr in entries:
-            # current label is the piece's token (or the surviving old
-            # label), so the mask splits the pre-batch array exactly
-            mem = arr[label[arr] == claim]
-            total += int(arr.size)
-            if not mem.size:
+        keys = self.keys
+        members = self._members
+        for lab in affected:
+            if label[lab] == lab:
+                arr = members[lab]
+                if arr.size > 2 * self._size[lab]:
+                    members[lab] = arr[label[arr] == lab]
                 continue
+            arr = members.pop(lab)
+            mem = arr[label[arr] == lab]
             mn = int(mem[0])
-            if mn != claim:
-                label[mem] = mn
-            self._members[mn] = mem
-            self._comp_min.pop(mn, None)
-            # single-component form of component_min_packed: every member
-            # now carries label mn, so the per-label grouping is trivial
-            sel = self.keys[mem]
+            label[mem] = mn
+            members[mn] = mem
+            self._size[mn] = self._size.pop(lab)
+            heap = self._heaps.pop(lab, None)
+            if heap:
+                self._heaps[mn] = heap
+        for token, size in self._pieces:
+            # the slot counts the piece at its split (charged as such);
+            # later splits of the same batch only shrink what carries
+            # the token
+            total += size
+            arr = members.pop(token)
+            del self._size[token]
+            if size == 1:
+                # an isolated vertex (the common case: an absorbed one)
+                mn = int(arr[0])
+                label[mn] = mn
+                members[mn] = arr
+                self._size[mn] = 1
+                if keys[mn] != NO_KEY:
+                    self._heaps[mn] = [int(keys[mn])]
+                continue
+            mem = arr[label[arr] == token]
+            mn = int(mem[0])
+            label[mem] = mn
+            members[mn] = mem
+            self._size[mn] = int(mem.size)
+            sel = keys[mem]
             sel = sel[sel != NO_KEY]
             if sel.size:
-                self._comp_min[mn] = int(sel.min())
+                self._heaps[mn] = np.sort(sel).tolist()
+        entries = len(affected) + len(self._pieces)
+        self._pieces = []
         self._c_rebuild.value += 1
         self._h_rebuild.observe(total)
         # relabel + regroup + re-aggregate: O(affected) work, polylog span
-        self.t.charge(total + len(entries), 8)
+        self.t.charge(total + entries, 8)
 
     # ------------------------------------------------------------------
     # queries (level-0 forest)
@@ -242,40 +280,34 @@ class FlatForest:
     # ------------------------------------------------------------------
     def set_vertex_key(self, v: int, key: int | None) -> None:
         """Set/clear v's lowest-neighbor key (key = -depth, lex argmin)."""
-        packed = NO_KEY if key is None else np.int64(key) * self.n + v
-        old = self.keys[v]
-        if packed == old:
+        packed = NO_KEY if key is None else key * self.n + v
+        if packed == self.keys[v]:
             return
         self.keys[v] = packed
         lab = int(self.label[v])
-        cur = self._comp_min.get(lab)
-        if packed < (NO_KEY if cur is None else cur):
-            self._comp_min[lab] = int(packed)
-            return
-        if cur is not None and old == cur:
-            # the previous minimum went away (or grew): recompute.  In the
-            # absorption driver this only happens when retiring a deleted
-            # vertex, whose component is a post-rebuild singleton — O(1).
-            if lab == v and self.parent[v] == -1 and not self.tadj[0][v]:
-                if packed == NO_KEY:
-                    self._comp_min.pop(lab, None)
-                else:
-                    self._comp_min[lab] = int(packed)
-                return
-            sel = self._members.get(lab)
-            if sel is None:
-                sel = np.flatnonzero(self.label == lab)
-            self._comp_min.pop(lab, None)
-            self._comp_min.update(
-                component_min_packed(self.label, self.keys, sel)
-            )
+        if key is not None:
+            heappush(self._heaps.setdefault(lab, []), packed)
+        elif self._size[lab] == 1:
+            # an isolated vertex (a retired one, in the driver) has no
+            # other key: drop its heap instead of keeping a dead entry
+            self._heaps.pop(lab, None)
 
     def component_min_key(self, v: int) -> tuple[int, int] | None:
         """Lex-min ``(key, vertex)`` in v's component, or None."""
-        packed = self._comp_min.get(int(self.label[v]))
-        if packed is None:
+        lab = int(self.label[v])
+        heap = self._heaps.get(lab)
+        if not heap:
             return None
-        return int(packed) // self.n, int(packed) % self.n
+        keys, label, n = self.keys, self.label, self.n
+        # drop entries whose key changed or whose vertex split away; each
+        # entry is pushed once and popped at most once (lazy deletion)
+        while heap:  # repro-lint: disable=R001
+            top = heap[0]
+            x = top % n
+            if keys[x] == top and label[x] == lab:
+                return top // n, x
+            heappop(heap)
+        return None
 
     # ------------------------------------------------------------------
     # deletion
@@ -313,7 +345,7 @@ class FlatForest:
         for eid in tree_eids:
             rep = int(self.label[self.endpoints[eid][0]])
             groups.setdefault(rep, []).append(eid)
-        self._pieces = []
+        total = sum(self._size[rep] for rep in groups)
         for rep in sorted(groups):
             for eid in groups[rep]:
                 changes.extend(self._delete_tree_edge(eid))
@@ -321,8 +353,7 @@ class FlatForest:
         # leave the pre-batch component, so the pre-batch labels of the
         # deleted tree edges (the group keys) plus the recorded split
         # pieces cover every vertex whose label may have changed.
-        self._finalize_batch(sorted(groups), self._pieces)
-        self._pieces = []
+        self._finalize_batch(sorted(groups), total)
         self.t.charge(len(eids), 8)
         return changes
 
@@ -332,7 +363,6 @@ class FlatForest:
         self.is_tree[eid] = False
         del self._pair_to_eid[(u, v)]
         changes = [ForestChange("cut", u, v)]
-        self.t.charge(lvl + 1, 1)
         for i in range(lvl + 1):
             del self.tadj[i][u][v]
             del self.tadj[i][v][u]
@@ -340,79 +370,169 @@ class FlatForest:
         # orientation and just becomes a root
         parent = self.parent
         if parent[v] == u:
-            parent[v] = -1
+            child = v
         else:
             assert parent[u] == v, "cut edge not parent-linked"
-            parent[u] = -1
+            child = u
+        parent[child] = -1
+        self.plev[child] = -1
 
+        # charges accumulate locally and land once per cut (the tracker
+        # only sums them)
+        work, span = lvl + 1, 1
+        side: list[int] = []
+        side_set: set[int] | None = None
+        won_u = True
+        large = False
+        endpoints, level, tadj, nontree = (
+            self.endpoints, self.level, self.tadj, self.nontree,
+        )
+        observe = self._h_scan.observe
         for i in range(lvl, -1, -1):
-            small, small_set = self._small_side(i, u, v)
-            arcs2, marked = self._component_collect(i, small_set)
-            self._grow(i + 1)
+            tadj_i = tadj[i]
+            nontree_i = nontree[i]
+            if i + 1 == len(tadj):
+                self._grow(i + 1)
+            # the small F_i side (ties to u), its exactly-level-i tree
+            # edges and its vertices holding level-i non-tree edges.  The
+            # charge is the alternating BFS's 2 per popped vertex (4|S|
+            # when u wins, 4|S|+2 when v wins, 2 for an isolated endpoint)
+            # plus a collect pass over the side's F_i tree, |S| + 2(|S|-1)
+            if not tadj_i[u] or not tadj_i[v]:
+                x = u if not tadj_i[u] else v
+                won_u = x == u
+                side, side_set, arcs = [x], {x}, []
+                work += 3
+            else:
+                if side and self._closed(i, side):
+                    # no level-i tree edge touches last level's side, so
+                    # it is a whole F_i component; the other side only
+                    # grew, so the same endpoint still wins
+                    arcs = []
+                else:
+                    found = None if large else self._side_bfs(
+                        i, u, v, _ARRAY_SIDE
+                    )
+                    if found is None:
+                        # |S_i| >= |S_{i+1}|: every lower level is large too
+                        large = True
+                        found = self._side_arrays(i, u, v)
+                    won_u, side, arcs = found
+                    side_set = None
+                work += 7 * len(side) - (2 if won_u else 0)
+            marked = self._marked(i, side)
+            # span: 8 + 8 for search and collect, 1 each for promote, scan
+            span += 18
 
             # 1) promote the small side's level-i tree edges to i+1
-            self._c_promote.value += len(arcs2)
-            self.t.charge(len(arcs2) + 1, 1)
-            for key in sorted(arcs2):
-                a, b = key
-                f = self._pair_to_eid[key]
-                self.level[f] = i + 1
-                self.tadj[i + 1][a][b] = f
-                self.tadj[i + 1][b][a] = f
+            work += len(arcs) + 1
+            if arcs:
+                self._c_promote.value += len(arcs)
+                self._promote(i, arcs)
 
             # 2) scan level-i non-tree edges in ascending eid order
-            cand: set[int] = set()
-            for x in marked:
-                cand.update(self.nontree[i][x])
             replacement = None
             scanned = 0
-            for f in sorted(cand):
-                scanned += 1
-                a, b = self.endpoints[f]
-                self.nontree[i][a].discard(f)
-                self.nontree[i][b].discard(f)
-                if a in small_set and b in small_set:
-                    self._c_promote.value += 1
-                    self.level[f] = i + 1
-                    self.nontree[i + 1][a].add(f)
-                    self.nontree[i + 1][b].add(f)
-                else:
-                    replacement = f
-                    break
-            self._h_scan.observe(scanned)
-            self.t.charge(len(cand) + scanned + 1, 1)
+            if marked:
+                if side_set is None:
+                    side_set = set(side)
+                cand: set[int] = set()
+                for x in marked:
+                    cand.update(nontree_i[x])
+                nontree_up = nontree[i + 1]
+                # usually the smallest candidate already leaves the side:
+                # take it without sorting the rest
+                first = min(cand)
+                a, b = endpoints[first]
+                head = (first,) if a not in side_set or b not in side_set else ()
+                for f in head or sorted(cand):
+                    scanned += 1
+                    a, b = endpoints[f]
+                    nontree_i[a].discard(f)
+                    nontree_i[b].discard(f)
+                    if a in side_set and b in side_set:
+                        self._c_promote.value += 1
+                        level[f] = i + 1
+                        nontree_up[a].add(f)
+                        nontree_up[b].add(f)
+                    else:
+                        replacement = f
+                        break
+                work += len(cand)
+            observe(scanned)
+            work += scanned + 1
 
             if replacement is not None:
-                a, b = self.endpoints[replacement]
+                self.t.charge(work, span)
+                a, b = endpoints[replacement]
                 self.is_tree[replacement] = True
-                self.level[replacement] = i
+                level[replacement] = i
                 self._pair_to_eid[(a, b)] = replacement
                 for j in range(i + 1):
-                    self.tadj[j][a][b] = replacement
-                    self.tadj[j][b][a] = replacement
-                self._link_parents(a, b)
+                    tadj[j][a][b] = replacement
+                    tadj[j][b][a] = replacement
+                self._link_parents(a, b, i)
                 changes.append(ForestChange("link", a, b))
                 return changes
 
+        self.t.charge(work, span)
         # the component split for good: stamp the level-0 small side with
         # a unique temporary token; _finalize_batch turns tokens into
-        # canonical min-id labels in one vectorized pass
+        # canonical min-id labels
         token = -(len(self._pieces) + 1)
-        arr = np.sort(
-            np.fromiter(small_set, dtype=np.int64, count=len(small_set))
-        )
+        arr = np.array(side, dtype=np.int64)
+        if len(side) > 1:
+            arr.sort()
+        cur = int(self.label[u])
         self.label[arr] = token
-        self._pieces.append((token, arr))
+        self._members[token] = arr
+        self._size[token] = len(side)
+        self._size[cur] -= len(side)
+        self._pieces.append((token, len(side)))
         return changes
 
-    def _link_parents(self, a: int, b: int) -> None:
-        """Join two trees with the edge (a, b): re-root the endpoint whose
-        root is nearer (path reversal), then hang it off the other side.
+    def _marked(self, i: int, side: list[int]) -> list[int]:
+        """The vertices of ``side`` holding level-i non-tree edges."""
+        nontree_i = self.nontree[i]
+        # charged by the caller's collect pass; .get keeps the lazy
+        # levels from materializing an empty set per probe
+        if i:
+            return [x for x in side if nontree_i.get(x)]  # repro-lint: disable=R001
+        return [x for x in side if nontree_i[x]]  # repro-lint: disable=R001
+
+    def _closed(self, i: int, side: list[int]) -> bool:
+        """Whether no exactly-level-i tree edge touches ``side``."""
+        tadj_i, tadj_up = self.tadj[i], self.tadj[i + 1]
+        for x in side:  # repro-lint: disable=R001 (charged by the caller)
+            if len(tadj_i[x]) != len(tadj_up[x]):
+                return False
+        return True
+
+    def _promote(self, i: int, arcs: list[int]) -> None:
+        """Move the tree edges ``arcs`` from level i to i+1."""
+        level, endpoints, parent, plev = (
+            self.level, self.endpoints, self.parent, self.plev,
+        )
+        tadj_up = self.tadj[i + 1]
+        # charged by the caller (one unit per edge)
+        for f in arcs:  # repro-lint: disable=R001
+            a, b = endpoints[f]
+            level[f] = i + 1
+            tadj_up[a][b] = f
+            tadj_up[b][a] = f
+            plev[a if parent[a] == b else b] = i + 1
+
+    def _link_parents(self, a: int, b: int, lvl: int) -> None:
+        """Join two trees with the level-``lvl`` edge (a, b): re-root the
+        endpoint whose root is nearer (path reversal), then hang it off
+        the other side.
 
         The walk alternates (a first, ties to a), so it costs O(min root
         distance) pointer steps; the rooting is internal — tree paths are
-        root-independent — so any deterministic choice is canonical."""
-        parent = self.parent
+        root-independent — so any deterministic choice is canonical. Each
+        reversed edge carries its level along (``plev`` of the old child
+        moves to the new child)."""
+        parent, plev = self.parent, self.plev
         pa = [a]
         pb = [b]
         while True:
@@ -428,7 +548,9 @@ class FlatForest:
             pb.append(nxt)
         for i in range(len(chain) - 1, 0, -1):
             parent[chain[i]] = chain[i - 1]
+            plev[chain[i]] = plev[chain[i - 1]]
         parent[chain[0]] = anchor
+        plev[chain[0]] = lvl
         self.t.charge(len(pa) + len(pb), 8)
 
     def _grow(self, i: int) -> None:
@@ -439,97 +561,91 @@ class FlatForest:
             self.tadj.append(defaultdict(dict))
             self.nontree.append(defaultdict(set))
 
-    def _bfs(self, i: int, start: int) -> Iterator[int]:
-        """Vertices of start's F_i component, one per ``next`` call.
+    def _side_bfs(self, i: int, u: int, v: int, budget: int):
+        """The small F_i side after cutting (u, v) by alternating BFS.
 
-        Generator building block; consumers (``_small_side``,
-        ``_component_collect``) charge the traversal cost in aggregate."""
-        seen = {start}
-        queue = deque([start])
-        while queue:  # repro-lint: disable=R001 (charged by consumers)
-            x = queue.popleft()
-            yield x
-            for nbr in self.tadj[i][x]:  # repro-lint: disable=R001
-                if nbr not in seen:
-                    seen.add(nbr)
-                    queue.append(nbr)
-
-    def _small_side(self, i: int, u: int, v: int) -> tuple[int, set[int]]:
-        """The endpoint on the smaller F_i side after the cut, plus that
-        side's full vertex set.
-
-        Alternating bidirectional BFS, u advancing first: the first side
-        to exhaust is the smaller one, ties going to u — exactly the
-        tracked structure's ``u if size(u) <= size(v) else v`` rule at
-        O(2 |small|) cost instead of two full component sweeps. The
-        winner's queue is empty, so its ``seen`` set *is* the component —
-        no second traversal needed.
-        """
+        u advances first: the first side to exhaust is the smaller one,
+        ties going to u — the tracked structure's ``u if size(u) <=
+        size(v) else v`` rule at O(2 |small|) cost. F_i components are
+        trees, so every neighbor of a popped vertex except the one that
+        reached it is new (no visited set), and each side's
+        exactly-level-i tree edges are collected as they reach a vertex.
+        Returns ``(u won, side, edge ids)``, or None once both sides have
+        popped ``budget`` vertices. Uncharged: the caller charges by the
+        side's size."""
         tadj_i = self.tadj[i]
-        # singleton fast path: an isolated endpoint is a size-1 side and
-        # size 1 wins every comparison (ties prefer u, checked first)
-        if not tadj_i[u]:
-            self.t.charge(2, 8)
-            return u, {u}
-        if not tadj_i[v]:
-            self.t.charge(2, 8)
-            return v, {v}
+        level = self.level
         # lists with read cursors instead of deques: this is the hottest
-        # loop in the structure (one call per level per deleted tree
-        # edge) and the flat list walk shaves the per-step constant
+        # loop in the structure (one call per level per deleted tree edge)
         qu: list[int] = [u]
-        su = {u}
+        fu: list[int] = [-1]
+        au: list[int] = []
         iu = 0
         qv: list[int] = [v]
-        sv = {v}
+        fv: list[int] = [-1]
+        av: list[int] = []
         iv = 0
-        while True:
+        # dict order never reaches an output: the winner is decided by
+        # size alone and its edges are only promoted
+        while True:  # repro-lint: disable=R001 (charged by the caller)
             if iu == len(qu):
-                self.t.charge(2 * (iu + iv), 8)
-                return u, su
+                return True, qu, au
+            if iu == budget:
+                return None
             x = qu[iu]
+            px = fu[iu]
             iu += 1
-            for nbr in tadj_i[x]:
-                if nbr not in su:
-                    su.add(nbr)
+            for nbr, f in tadj_i[x].items():  # repro-lint: disable=R001,R002
+                if nbr != px:
                     qu.append(nbr)
+                    fu.append(x)
+                    if level[f] == i:
+                        au.append(f)
             if iv == len(qv):
-                self.t.charge(2 * (iu + iv), 8)
-                return v, sv
+                return False, qv, av
             x = qv[iv]
+            px = fv[iv]
             iv += 1
-            for nbr in tadj_i[x]:
-                if nbr not in sv:
-                    sv.add(nbr)
+            for nbr, f in tadj_i[x].items():  # repro-lint: disable=R001,R002
+                if nbr != px:
                     qv.append(nbr)
+                    fv.append(x)
+                    if level[f] == i:
+                        av.append(f)
 
-    def _component_collect(
-        self, i: int, comp: set[int]
-    ) -> tuple[list[tuple[int, int]], list[int]]:
-        """Over the known F_i component ``comp``: (exactly-level-i tree
-        edges as (min,max) pairs, vertices holding level-i non-tree
-        edges). One flat scan — no BFS, ``comp`` comes from the
-        ``_small_side`` traversal."""
+    def _side_arrays(self, i: int, u: int, v: int):
+        """:meth:`_side_bfs` without a budget, from the level-0 arrays.
+
+        F_i is a subforest of F_0, so within the current level-0 tree of
+        u and v a vertex's F_i component is found by climbing ``parent``
+        while ``plev >= i``: one masked pointer-doubling pass gives every
+        vertex its F_i top, and the two sides are the vertices sharing
+        u's and v's tops. The side's exactly-level-i tree edges are the
+        parent edges of its members with ``plev == i``."""
+        label = self.label
+        lab = int(label[u])
+        arr = self._members[lab]
+        comp = arr[label[arr] == lab]
+        pos = self._pos
+        pos[comp] = np.arange(comp.size)
+        pl = self.plev[comp]
+        up = pos[np.where(pl >= i, self.parent[comp], comp)]
+        # O(log depth) doubling rounds; uncharged like _side_bfs
+        while True:  # repro-lint: disable=R001
+            nxt = up[up]
+            if np.array_equal(nxt, up):
+                break
+            up = nxt
+        in_u = up == up[pos[u]]
+        in_v = up == up[pos[v]]
+        won_u = int(np.count_nonzero(in_u)) <= int(np.count_nonzero(in_v))
+        mask = in_u if won_u else in_v
+        side = comp[mask].tolist()
+        kids = comp[mask & (pl == i)]
         tadj_i = self.tadj[i]
-        nontree_i = self.nontree[i]
-        level = self.level
-        arcs2: list[tuple[int, int]] = []
-        marked: list[int] = []
-        arc = arcs2.append
-        mark = marked.append
-        work = 0
-        # set/dict order never reaches an output: arcs2 is sorted before
-        # the promotion loop, marked only feeds a set union whose scan is
-        # sorted
-        for x in comp:  # repro-lint: disable=R002
-            if nontree_i[x]:
-                mark(x)
-            for nbr, f in tadj_i[x].items():  # repro-lint: disable=R002
-                work += 1
-                if x < nbr and level[f] == i:
-                    arc((x, nbr))
-        self.t.charge(len(comp) + work, 8)
-        return arcs2, marked
+        pars = self.parent[kids].tolist()
+        arcs = [tadj_i[x][p] for x, p in zip(kids.tolist(), pars)]  # repro-lint: disable=R001
+        return won_u, side, arcs
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
@@ -549,26 +665,48 @@ class FlatForest:
             else:
                 assert eid in self.nontree[lvl][u]
                 assert eid in self.nontree[lvl][v]
-        # parent/label arrays and the members map agree with the level-0
-        # adjacency: one root per component, parent edges are tree edges,
-        # labels are canonical min-ids, member arrays sorted and complete
+        assert not self._pieces, "split pieces left unfinalized"
+        # parent/plev/label arrays, member supersets, sizes and key heaps
+        # agree with the level-0 adjacency: one root per component, parent
+        # edges are tree edges of level plev, labels are canonical min-ids
         seen: set[int] = set()
+        labels: set[int] = set()
         for s in range(self.n):  # repro-lint: disable=R001
             if s in seen:
                 continue
-            comp = list(self._bfs(0, s))
-            seen.update(comp)
+            comp = [s]
+            seen.add(s)
+            for x in comp:  # repro-lint: disable=R001
+                for y in self.tadj[0][x]:  # repro-lint: disable=R001,R002
+                    if y not in seen:
+                        seen.add(y)
+                        comp.append(y)
             lab = min(comp)
+            labels.add(lab)
             roots = [x for x in comp if self.parent[x] == -1]  # repro-lint: disable=R001
             assert len(roots) == 1, f"component of {s}: roots {roots}"
             for x in comp:  # repro-lint: disable=R001
                 assert self.label[x] == lab, "label out of sync"
                 p = int(self.parent[x])
-                assert p == -1 or p in self.tadj[0][x], "parent not a tree edge"
+                if p == -1:
+                    assert self.plev[x] == -1, "root with a parent level"
+                else:
+                    f = self.tadj[0][x].get(p)
+                    assert f is not None, "parent not a tree edge"
+                    assert self.plev[x] == self.level[f], "plev out of sync"
             mem = self._members.get(lab)
-            assert mem is not None and mem.tolist() == sorted(comp), (
-                "member map out of sync"
+            assert mem is not None and np.all(np.diff(mem) > 0), (
+                "member array missing or unsorted"
             )
+            assert np.isin(np.array(comp), mem).all(), "member map lost a vertex"
+            assert self._size.get(lab) == len(comp), "component size out of sync"
+            keyed = [int(self.keys[x]) for x in comp if self.keys[x] != NO_KEY]  # repro-lint: disable=R001
+            want = (min(keyed) // self.n, min(keyed) % self.n) if keyed else None
+            assert self.component_min_key(s) == want, "key heap out of sync"
+        assert set(self._members) == labels and set(self._size) == labels, (
+            "member map holds a dead label"
+        )
+        assert set(self._heaps) <= labels, "key heap under a dead label"
         # every parent chain reaches its root without cycling
         for v in range(self.n):  # repro-lint: disable=R001
             x, steps = v, 0
@@ -576,11 +714,6 @@ class FlatForest:
                 x = int(self.parent[x])
                 steps += 1
                 assert steps <= self.n, "parent cycle"
-        # component minima agree with a fresh scan
-        fresh = component_min_packed(
-            self.label, self.keys, np.arange(self.n, dtype=np.int64)
-        )
-        assert fresh == self._comp_min, "component-min cache out of sync"
 
 
 class FlatAbsorptionStructure:
@@ -736,15 +869,22 @@ class FlatAbsorptionStructure:
         dead = [v for v, _ in deleted]
         dead_set = set(dead)
 
-        # 1) snapshot surviving H-neighbors ((depth, vertex) lex-max)
+        # 1) snapshot surviving H-neighbors ((depth, vertex) lex-max) and
+        #    gather the incident edges
         trip_nb: list[int] = []
         trip_d: list[int] = []
         trip_v: list[int] = []
+        eids: set[int] = set()
+        gathered = 0
+        incident, endpoints = self.hdt.incident, self.hdt.endpoints
         for v, d in deleted:
             if v in self.deleted:
                 raise ValueError(f"vertex {v} deleted twice")
-            for eid in self.hdt.incident[v]:
-                u, w = self.hdt.endpoints[eid]
+            inc = incident[v]
+            gathered += len(inc)
+            eids.update(inc)
+            for eid in inc:
+                u, w = endpoints[eid]
                 nb = w if u == v else u
                 if nb not in dead_set:
                     trip_nb.append(nb)
@@ -753,11 +893,6 @@ class FlatAbsorptionStructure:
         neighbor_updates = witness_lexmax_np(self.g.n, trip_nb, trip_d, trip_v)
 
         # 2) delete all incident edges in one HDT batch (rebuild inside)
-        eids: set[int] = set()
-        gathered = 0
-        for v in dead:
-            gathered += len(self.hdt.incident[v])
-            eids.update(self.hdt.incident[v])
         self.t.charge(len(dead) + gathered, 8)
         self._c_bd.value += 1
         self._h_bd_edges.observe(gathered)

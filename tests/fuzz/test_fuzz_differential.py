@@ -14,10 +14,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import random
+
 from repro.analysis.fuzz import (
+    ADVERSARIAL_FAMILIES,
     FUZZ_FAMILIES,
     check_dfs_case,
     check_ops_case,
+    fuzz_graph,
+    make_ops,
     run,
 )
 from repro.graph.generators import make_family
@@ -67,6 +72,31 @@ class TestOpsDifferential:
     def test_lockstep_queries(self, family, n, graph_seed, ops):
         g = make_family(family, n, seed=graph_seed)
         check_ops_case(g, ops)
+
+
+class TestAdversarialFamilies:
+    """Every adversarial shape through the DFS oracle on every engine and
+    through the Lemma 5.1 lockstep, at the smallest and largest fuzz
+    sizes."""
+
+    @pytest.mark.parametrize("family", sorted(ADVERSARIAL_FAMILIES))
+    @pytest.mark.parametrize("n", [8, 80])
+    def test_dfs_and_ops(self, family, n):
+        for seed in range(3):
+            check_dfs_case(family, n, seed, seed + 1, 5 * seed)
+            g = fuzz_graph(family, n, seed)
+            check_ops_case(g, make_ops(random.Random(seed), 6))
+
+    def test_shapes(self):
+        assert fuzz_graph("longpath", 20, 0).m == 79
+        assert fuzz_graph("star", 20, 1).m == 19
+        assert fuzz_graph("kbipartite", 20, 2).m == 3 * 17
+        assert all(len(a) <= 2 for a in fuzz_graph("tinyforest", 40, 3).adj)
+        iso = fuzz_graph("isolated", 40, 4)
+        assert sum(1 for a in iso.adj if not a) >= 30
+        assert [(g.n, g.m) for g in (fuzz_graph("tiny", 9, s) for s in range(3))] == [
+            (1, 0), (2, 0), (2, 1),
+        ]
 
 
 class TestBudgetedRunner:

@@ -11,16 +11,24 @@ for the contracted graph.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
 from repro.analysis.fuzz import check_ops_case
-from repro.graph.generators import gnm_random_connected_graph
+from repro.graph.generators import (
+    gnm_random_connected_graph,
+    grid_graph,
+    path_graph,
+    spider_graph,
+    star_graph,
+)
 from repro.graph.graph import Graph
 from repro.pram import Tracker
 from repro.structures.adjacency_query import ActiveNeighborStructure
+from repro.structures import flat_absorb
 from repro.structures.flat_absorb import FlatAbsorptionStructure, FlatForest
 from repro.structures.flat_neighbors import FlatActiveNeighborStructure
 
@@ -181,3 +189,175 @@ class TestFlatForestEdgeCases:
         s.set_separator([0])
         with pytest.raises(ValueError):
             s.find_path_s2p(0, 3)
+
+
+# ----------------------------------------------------------------------
+# golden traces of the deletion path
+# ----------------------------------------------------------------------
+
+def _digest(log) -> str:
+    return hashlib.sha256(repr(log).encode()).hexdigest()[:16]
+
+
+def _golden_graph(name: str) -> Graph:
+    if name == "gnm":
+        return gnm_random_connected_graph(300, 700, seed=11)
+    if name == "star":
+        return star_graph(80)
+    if name == "path":
+        return path_graph(400)
+    if name == "grid":
+        return grid_graph(16, 16)
+    if name == "spider":
+        return spider_graph(6, 40)
+    if name == "gnm-big":
+        return gnm_random_connected_graph(3000, 4500, seed=5)
+    if name == "path-big":
+        return path_graph(3000)
+    raise KeyError(name)
+
+
+def _forest_trace(g: Graph, seed: int, batches: int, invariants: bool):
+    """Seeded FlatForest op sequence: key sets/clears, edge and vertex
+    batch deletes, key-minimum and connectivity probes. Returns (digest
+    of every answer, final tracker snapshot)."""
+    rng = random.Random(seed)
+    t = Tracker()
+    f = FlatForest(g, tracker=t, kernel_backend="numpy")
+    log = []
+    live = set(range(g.m))
+    for _ in range(batches):
+        for _ in range(4):
+            v = rng.randrange(g.n)
+            key = None if rng.random() < 0.2 else -rng.randrange(60)
+            f.set_vertex_key(v, key)
+        if rng.random() < 0.5:
+            k = min(len(live), rng.randrange(1, 12))
+            batch = sorted(rng.sample(sorted(live), k))
+        else:
+            vs = rng.sample(range(g.n), rng.randrange(1, 6))
+            batch = sorted({e for v in vs for e in f.incident[v]})
+        live.difference_update(batch)
+        changes = f.batch_delete(batch)
+        probes = rng.sample(range(g.n), min(g.n, 8))
+        log.append((
+            [(c.kind, c.u, c.v) for c in changes],
+            [f.component_min_key(v) for v in probes],
+            [f.component_rep(v) for v in probes],
+            tuple(t.snapshot()),
+        ))
+        if invariants:
+            f.check_invariants()
+    return _digest(log), tuple(t.snapshot())
+
+
+def _absorb_trace(g: Graph, seed: int, batches: int, invariants: bool):
+    """Seeded FlatAbsorptionStructure op sequence shaped like the
+    absorption driver: separator flags, tree-neighbor witnesses, vertex
+    batch deletes, then the three Lemma 5.1 queries after each batch."""
+    rng = random.Random(seed)
+    t = Tracker()
+    s = FlatAbsorptionStructure(g, tracker=t, kernel_backend="numpy")
+    alive = list(range(g.n))
+    s.set_separator(rng.sample(alive, max(1, g.n // 8)))
+    for v in rng.sample(alive, max(1, g.n // 10)):
+        s.set_tree_neighbor(v, rng.randrange(g.n), rng.randrange(40))
+    log = []
+    for _ in range(batches):
+        if len(alive) < 2:
+            break
+        dead = rng.sample(alive, min(len(alive) - 1, rng.randrange(1, 8)))
+        alive = [v for v in alive if v not in set(dead)]
+        s.batch_delete([(v, rng.randrange(40)) for v in dead])
+        if rng.random() < 0.4:
+            s.set_separator(rng.sample(alive, min(len(alive), 3)))
+        q = s.find_cc()
+        entry: list = [q]
+        if q is not None:
+            try:
+                v, x, d = s.lowest_node(q)
+            except RuntimeError:
+                entry.append(None)
+            else:
+                entry.append((v, x, d, s.find_path_s2p(q, v)))
+        entry.append(tuple(t.snapshot()))
+        log.append(entry)
+        if invariants:
+            s.check_invariants()
+    return _digest(log), tuple(t.snapshot())
+
+
+#: (graph, batches, check invariants per batch, FlatForest trace,
+#: FlatAbsorptionStructure trace) — each trace is (digest of every
+#: answer, final tracker snapshot), recorded from the FlatForest whose
+#: replacement search was a full two-pass BFS per level and whose
+#: finalize pass rescanned every touched component
+_GOLDEN = [
+    ("gnm", 40, True, ("24d90f32603cf053", (41411, 6363)),
+     ("3fdef1841826f596", (59536, 19450))),
+    ("star", 40, True, ("5c37d7235469b477", (5271, 1979)),
+     ("1a1a77b0c2b123de", (5418, 2258))),
+    ("path", 40, True, ("3ee8fa523de4a783", (42688, 10568)),
+     ("4bca2cff7e528c54", (45301, 15104))),
+    ("grid", 40, True, ("a5a2a312480f8d1f", (43973, 10163)),
+     ("4cd25d82b3cd453b", (44053, 16162))),
+    ("spider", 40, True, ("329ef803ea8f7b82", (22993, 7841)),
+     ("0f48aee66ab362d2", (25303, 11887))),
+    # large enough that sides of >= 512 vertices take the array search
+    ("gnm-big", 60, False, ("c2f3d833118d5e1f", (469397, 12236)),
+     ("9db8f9fb7a440a4a", (448591, 22248))),
+    ("path-big", 60, False, ("ebd465c3291408f1", (383089, 19162)),
+     ("2ef10e2c597ef033", (389734, 31783))),
+]
+
+
+class TestDeletionGolden:
+    """The deletion path's ForestChange stream, key minima, labels and
+    every tracker charge are pinned to recorded traces — under the
+    default array-search threshold and with every non-singleton search
+    forced onto the arrays."""
+
+    @pytest.mark.parametrize("threshold", [None, 1])
+    @pytest.mark.parametrize(
+        "name,batches,invariants,forest,absorb", _GOLDEN,
+        ids=[case[0] for case in _GOLDEN],
+    )
+    def test_trace(self, monkeypatch, threshold, name, batches, invariants,
+                   forest, absorb):
+        if threshold is not None:
+            monkeypatch.setattr(flat_absorb, "_ARRAY_SIDE", threshold)
+        g = _golden_graph(name)
+        assert _forest_trace(g, 7, batches, invariants) == forest
+        assert _absorb_trace(g, 7, batches, invariants) == absorb
+
+
+class TestArraySearchParity:
+    """With the threshold at 1 every non-singleton replacement search
+    runs on the arrays; each call must find the BFS's side, level-i tree
+    edges and marked vertices."""
+
+    @pytest.mark.parametrize("name", ["gnm", "path", "grid", "spider"])
+    def test_array_search_matches_bfs(self, monkeypatch, name):
+        calls = []
+
+        class Checked(FlatForest):
+            def _side_arrays(self, i, u, v):
+                got = super()._side_arrays(i, u, v)
+                want = self._side_bfs(i, u, v, self.n + 1)
+                assert got[0] == want[0], "different winner"
+                assert sorted(got[1]) == sorted(want[1]), "different side"
+                assert sorted(got[2]) == sorted(want[2]), "different arcs"
+                assert sorted(self._marked(i, got[1])) == sorted(
+                    self._marked(i, want[1])
+                )
+                calls.append(len(got[1]))
+                return got
+
+        # both construction sites build the checking subclass
+        monkeypatch.setattr(flat_absorb, "_ARRAY_SIDE", 1)
+        monkeypatch.setattr(flat_absorb, "FlatForest", Checked)
+        monkeypatch.setitem(globals(), "FlatForest", Checked)
+        g = _golden_graph(name)
+        _forest_trace(g, 3, 30, False)
+        _absorb_trace(g, 3, 30, True)
+        assert len(calls) > 20 and max(calls) > 1

@@ -15,6 +15,7 @@ or metric call sneaking into a per-element loop) shows up as a
 consistent, large gap that no retry masks.
 """
 
+import gc
 import random
 import time
 
@@ -55,12 +56,19 @@ def _run_traced(g) -> float:
 
 
 def _guard(run_plain, run_instrumented, label):
-    """Interleaved best-of-N comparison with retries (shared helper)."""
+    """Interleaved best-of-N comparison with retries (shared helper).
+
+    Every timed run starts from a fully collected heap: otherwise the
+    full collection that earlier runs make due lands, run after run, on
+    whichever side tips CPython's long-lived threshold (the one that
+    retains more objects), and one side pays it every time."""
     overheads = []
     for _ in range(ATTEMPTS):
         plain, instrumented = [], []
         for _ in range(RUNS_PER_SIDE):  # interleave to share drift
+            gc.collect()
             plain.append(run_plain())
+            gc.collect()
             instrumented.append(run_instrumented())
         overhead = min(instrumented) / min(plain) - 1.0
         overheads.append(overhead)

@@ -7,6 +7,7 @@ codes, and — the part CI actually runs — the real
 where the measurement methodology stabilized.
 """
 
+import importlib.util
 import json
 import os
 
@@ -135,6 +136,121 @@ def ledger(ratio=1.3, p99=5.0, extra=None):
     if extra:
         doc.update(extra)
     return doc
+
+
+class TestProvenance:
+    """Entries are compared only when they ran the same engine(s) and
+    structure."""
+
+    def _doc(self, ratio, **stamp):
+        return {"e17": {"ratio": ratio, **stamp}, "e20": {"speedup": 2.0}}
+
+    def test_differing_engine_is_refused_not_gated(self):
+        old = self._doc(1.3, kernel_backend="tracked", structure="flat")
+        new = self._doc(0.5, kernel_backend=["numpy", "tracked"],
+                        structure="flat")
+        report = compare(old, new)
+        assert report.ok and report.compared == 1  # e20 only
+        assert report.refused == [
+            ("e17", "kernel_backend", "tracked", ["numpy", "tracked"])
+        ]
+        assert "refused: e17" in format_report(report)
+
+    def test_differing_structure_is_refused(self):
+        report = compare(
+            self._doc(1.3, kernel_backend="numpy", structure="rc"),
+            self._doc(1.3, kernel_backend="numpy", structure="flat"),
+        )
+        assert [r[:2] for r in report.refused] == [("e17", "structure")]
+
+    def test_same_stamp_or_absent_field_still_compares(self):
+        same = compare(
+            self._doc(1.3, kernel_backend="numpy", structure="flat"),
+            self._doc(1.0, kernel_backend="numpy", structure="flat"),
+        )
+        assert not same.ok and not same.refused
+        partial = compare(
+            self._doc(1.3, kernel_backend="numpy"),
+            self._doc(1.0, kernel_backend="numpy", structure="flat"),
+        )
+        assert not partial.ok and not partial.refused
+
+    def test_json_output_lists_refusals(self, tmp_path, capsys):
+        a = write(tmp_path, "old.json",
+                  self._doc(1.3, kernel_backend="tracked"))
+        b = write(tmp_path, "new.json",
+                  self._doc(1.3, kernel_backend="numpy"))
+        assert main([a, b, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc[0]["refused"] == [
+            {"entry": "e17", "field": "kernel_backend",
+             "old": "tracked", "new": "numpy"}
+        ]
+
+
+def _bench_conftest():
+    path = os.path.join(os.path.dirname(RESULTS_DIR), "conftest.py")
+    spec = importlib.util.spec_from_file_location("bench_conftest", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class TestLedgerStamp:
+    """``publish_json`` stamps what the bench passed, not the process
+    default engine."""
+
+    def test_ran_engines_and_structure_are_stamped(self, tmp_path,
+                                                   monkeypatch):
+        conf = _bench_conftest()
+        ledger_path = tmp_path / "BENCH.json"
+        monkeypatch.setattr(conf, "BENCH_JSON", str(ledger_path))
+        monkeypatch.setattr(conf, "RESULTS_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "tracked")
+        conf.publish_json(
+            "e17", {"ratio": 2.0},
+            ran={"kernel_backend": ["numpy", "tracked"], "structure": "flat"},
+        )
+        conf.publish_json("e20", {"ops": 1},
+                          ran={"kernel_backend": "numpy", "structure": "flat"})
+        conf.publish_json("e1", {"work": 5})
+        conf.publish_json("test_e1", {"wall_s": 0.1}, ran={})
+        doc = json.loads(ledger_path.read_text())
+        assert doc["e17"]["kernel_backend"] == ["numpy", "tracked"]
+        assert doc["e20"]["kernel_backend"] == "numpy"
+        assert doc["e17"]["structure"] == doc["e20"]["structure"] == "flat"
+        # no engine passed: the process default ran
+        assert doc["e1"]["kernel_backend"] == "tracked"
+        assert "structure" not in doc["e1"]
+        # timing-only entries claim no engine
+        assert "kernel_backend" not in doc["test_e1"]
+        assert doc["test_e1"]["cpu_count"] >= 1
+
+    def test_e17_and_e20_stamp_what_they_run(self, monkeypatch):
+        import sys
+
+        bench_dir = os.path.dirname(RESULTS_DIR)
+        # the benches import their harness as a top-level ``conftest``
+        monkeypatch.delitem(sys.modules, "conftest", raising=False)
+        sys.path.insert(0, bench_dir)
+        try:
+            spec = importlib.util.spec_from_file_location(
+                "bench_e20", os.path.join(bench_dir, "bench_e20_service.py")
+            )
+            e20 = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(e20)
+            spec = importlib.util.spec_from_file_location(
+                "bench_e17", os.path.join(bench_dir, "bench_e17_driver.py")
+            )
+            e17 = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(e17)
+        finally:
+            sys.path.remove(bench_dir)
+            sys.modules.pop("conftest", None)
+        assert e20.RAN == {"kernel_backend": "numpy", "structure": "flat"}
+        assert e20.RAN["kernel_backend"] == e20.CONFIG.kernel_backend
+        assert e17.RAN == {"kernel_backend": ["numpy", "tracked"],
+                           "structure": e17.STRUCTURE}
 
 
 class TestCompare:

@@ -263,3 +263,70 @@ def test_boolean_fields_get_a_structured_error_in_process():
             assert tree_bytes(q["tree"]) == _oracle_bytes(n, edges, 0, 0)
 
     run(main())
+
+
+# ----------------------------------------------------------------------
+# size limits: a short line must not make the server allocate O(n)
+# ----------------------------------------------------------------------
+
+
+def test_oversized_loads_are_rejected_at_the_boundary():
+    big = protocol.MAX_N + 1
+    cases = [
+        {"op": "load", "graph": "g", "n": big, "edges": []},
+        {"op": "load", "graph": "g", "family": "gnm", "n": 10**9, "seed": 0},
+        {"op": "load", "graph": "g", "n": 4,
+         "edges": [[0, 1]] * (protocol.MAX_M + 1)},
+        {"op": "update", "graph": "g",
+         "insert": [[0, 1]] * (protocol.MAX_M + 1)},
+    ]
+    for req in cases:
+        try:
+            protocol.validate_request(dict(req, id="x"))
+        except protocol.ProtocolError as exc:
+            assert exc.code == "too_large" and exc.req_id == "x"
+        else:
+            raise AssertionError(f"accepted {req['op']} of size {req.get('n')}")
+    # the limits themselves are accepted
+    ok = {"op": "load", "graph": "g", "family": "gnm",
+          "n": protocol.MAX_N, "seed": 0}
+    assert protocol.validate_request(ok) is ok
+
+
+def test_oversized_loads_get_a_structured_error_over_tcp():
+    with ServerThread() as srv:
+        host, port = srv.address
+        with ServiceClient(host, port) as c:
+            for req in (
+                {"graph": "e", "n": 10**9, "edges": []},
+                {"graph": "f", "family": "path", "n": 10**9, "seed": 1},
+            ):
+                r = c.op("load", **req)
+                assert not r["ok"] and r["error"]["code"] == "too_large"
+            assert c.op("graphs")["graphs"] == []
+            n, edges = _family_edges()
+            assert c.op("load", graph="g", n=n, edges=edges)["ok"]
+            q = c.op("dfs", graph="g", root=0, seed=0)
+            assert tree_bytes(q["tree"]) == _oracle_bytes(n, edges, 0, 0)
+
+
+def test_update_cannot_grow_a_graph_past_the_edge_limit(monkeypatch):
+    import repro.service.dynamic as dynamic
+
+    async def main():
+        n, edges = _family_edges()
+        async with ServiceHandle() as h:
+            await h.op("load", graph="g", n=n, edges=edges)
+            monkeypatch.setattr(dynamic, "MAX_M", len(edges) + 1)
+            new = [[u, v] for u in range(n) for v in range(u + 1, n)
+                   if [u, v] not in edges][:2]
+            r = await h.op("update", graph="g", insert=new)
+            assert not r["ok"] and r["error"]["code"] == "bad_update"
+            assert "edges" in r["error"]["message"]
+            # state untouched; one edge still fits
+            q = await h.op("dfs", graph="g", root=0, seed=0)
+            assert tree_bytes(q["tree"]) == _oracle_bytes(n, edges, 0, 0)
+            r = await h.op("update", graph="g", insert=new[:1])
+            assert r["ok"] and r["inserted"] == 1
+
+    run(main())
