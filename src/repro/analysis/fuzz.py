@@ -102,9 +102,9 @@ def _relabeled(n: int, edges: list[tuple[int, int]], seed: int) -> Graph:
 
 
 def _adv_longpath(n: int, seed: int) -> Graph:
-    # 4x longer than the other families: deep rooted forests, many
+    # twice as long as the other families: deep rooted forests, many
     # pointer-doubling rounds, long parent walks after every cut
-    n = 4 * n
+    n = 2 * n
     return _relabeled(n, [(i, i + 1) for i in range(n - 1)], seed)
 
 

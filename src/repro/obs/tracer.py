@@ -4,8 +4,8 @@ A :class:`Tracer` produces nested :class:`Span` records: wall-clock
 interval, nesting (parent id / depth), structured attributes (round
 index, path count, batch size, ...), and — when the tracer holds a
 :class:`~repro.pram.tracker.Tracker` — the *tracked work/span deltas*
-accumulated while the span was open, snapshotted via
-:meth:`Tracker.snapshot` / :meth:`Tracker.delta`.  Spans are what the
+accumulated while the span was open, read from the tracker's running
+``work``/``span`` totals at entry and exit.  Spans are what the
 exporters (:mod:`repro.obs.export`) turn into Chrome ``trace_event``
 timelines, JSONL streams, and the terminal tree report.
 
@@ -116,7 +116,7 @@ class Span:
 class Tracer:
     """Produces nested spans; collects them in completion order.
 
-    ``tracker`` (optional) is snapshotted at span boundaries for
+    ``tracker`` (optional) is read at span boundaries for
     work/span deltas; ``clock`` is injectable for deterministic tests
     (defaults to :func:`time.perf_counter`); ``backend`` is a free-form
     label stamped on exports (e.g. the resolved kernel backend);

@@ -270,7 +270,9 @@ class Tracker:
     def delta(self, since: Cost) -> Cost:
         """Totals accumulated since an earlier :meth:`snapshot`.
 
-        Like :meth:`snapshot`, charges nothing.
+        Like :meth:`snapshot`, charges nothing. Public helper for timing
+        a region from outside; the tracer reads ``work``/``span``
+        directly, without building :class:`Cost` objects per span.
         """
         return Cost(self.work - since.work, self.span - since.span)
 

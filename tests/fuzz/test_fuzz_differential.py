@@ -88,7 +88,7 @@ class TestAdversarialFamilies:
             check_ops_case(g, make_ops(random.Random(seed), 6))
 
     def test_shapes(self):
-        assert fuzz_graph("longpath", 20, 0).m == 79
+        assert fuzz_graph("longpath", 20, 0).m == 39
         assert fuzz_graph("star", 20, 1).m == 19
         assert fuzz_graph("kbipartite", 20, 2).m == 3 * 17
         assert all(len(a) <= 2 for a in fuzz_graph("tinyforest", 40, 3).adj)

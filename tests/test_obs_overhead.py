@@ -15,7 +15,6 @@ or metric call sneaking into a per-element loop) shows up as a
 consistent, large gap that no retry masks.
 """
 
-import gc
 import random
 import time
 
@@ -58,18 +57,21 @@ def _run_traced(g) -> float:
 def _guard(run_plain, run_instrumented, label):
     """Interleaved best-of-N comparison with retries (shared helper).
 
-    Every timed run starts from a fully collected heap: otherwise the
-    full collection that earlier runs make due lands, run after run, on
-    whichever side tips CPython's long-lived threshold (the one that
-    retains more objects), and one side pays it every time."""
+    The order inside a pair alternates. CPython's full collection comes
+    due on a fixed allocation period; when one plain + instrumented pair
+    spans about that period, a fixed order puts the collection on the
+    same side in every pair. Alternating spreads it over both sides, and
+    every run still pays whatever collection lands in it."""
     overheads = []
     for _ in range(ATTEMPTS):
         plain, instrumented = [], []
-        for _ in range(RUNS_PER_SIDE):  # interleave to share drift
-            gc.collect()
-            plain.append(run_plain())
-            gc.collect()
-            instrumented.append(run_instrumented())
+        for k in range(RUNS_PER_SIDE):  # interleave to share drift
+            if k % 2:
+                instrumented.append(run_instrumented())
+                plain.append(run_plain())
+            else:
+                plain.append(run_plain())
+                instrumented.append(run_instrumented())
         overhead = min(instrumented) / min(plain) - 1.0
         overheads.append(overhead)
         if overhead < BUDGET:
