@@ -14,8 +14,7 @@ profile): absorption wall clock under both backends is dominated by the
 shared per-element splay/rake-compress substrate (HDT Euler-tour
 forests, RC mirror), which cannot be vectorized without changing the
 tracked instrument's outputs. The numpy wins here are the bulk
-initialization (Euler tours, nontree counts), the witness scatter-max,
-and the RC coin rows — asserted identical, reported without a hard
+initialization (Euler tours, nontree counts) and the RC coin rows — asserted identical, reported without a hard
 end-to-end speedup gate; the kernel-level speedups are asserted in E16
 and the E17 subsystem table.
 """

@@ -81,7 +81,6 @@ register_kernel("induced_subgraph", "numpy", subgraph.induced_subgraph_np)
 register_kernel("forest_euler_tours", "numpy", absorb.forest_euler_tours)
 register_kernel("nontree_counts", "numpy", absorb.nontree_counts_np)
 register_kernel("rc_coin_row", "numpy", absorb.rc_coin_row)
-register_kernel("witness_lexmax", "numpy", absorb.witness_lexmax_np)
 
 # numpy-only operations: batch primitives and alternate kernels with no
 # tracked counterpart of the same signature.  Registered so the registry
@@ -114,7 +113,6 @@ register_kernel("prefix_sums_on_lists", "parallel", tiling.prefix_sums_on_lists_
 register_kernel("connected_components", "parallel", tiling.connected_components_par)
 register_kernel("spanning_forest", "parallel", tiling.spanning_forest_par)
 register_kernel("maximal_matching", "parallel", tiling.maximal_matching_par)
-register_kernel("witness_lexmax", "parallel", tiling.witness_lexmax_par)
 register_kernel("nontree_counts", "parallel", tiling.nontree_counts_par)
 register_kernel("rebuild_rooted_forest", "parallel", tiling.rebuild_rooted_forest_par)
 

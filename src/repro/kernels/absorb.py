@@ -18,10 +18,7 @@ entry points here safe to vectorize:
   one ``bincount``;
 * ``rc_coin_row`` — the RC-tree compress coins of a whole level in one
   batch of 64-bit hash arithmetic, bit-identical to the scalar
-  ``rc_tree._coin``;
-* ``witness_lexmax_np`` — the "deepest new T'-neighbor" reduction of
-  ``AbsorptionStructure.batch_delete`` as a packed-key
-  ``np.maximum.at`` scatter-max.
+  ``rc_tree._coin``.
 
 All kernels charge the tracker in aggregate (PR 1 convention: the numpy
 backend is the execution engine, the tracked backend the per-element
@@ -39,7 +36,6 @@ __all__ = [
     "forest_euler_tours",
     "nontree_counts_np",
     "rc_coin_row",
-    "witness_lexmax_np",
 ]
 
 
@@ -122,27 +118,3 @@ def rc_coin_row(n: int, level: int, salt: int) -> np.ndarray:
         x = (x ^ (x >> np.uint64(30))) * _C3
         x = (x ^ (x >> np.uint64(27))) * _C4
         return ((x ^ (x >> np.uint64(31))) & np.uint64(1)).astype(bool)
-
-
-def witness_lexmax_np(
-    n: int, nbs: list, depths: list, srcs: list
-) -> dict[int, tuple[int, int]]:
-    """Per-neighbor ``(depth, source)`` lex-max over witness triples.
-
-    The canonical "deepest new tree neighbor, ties to the larger absorbed
-    vertex id" rule of ``AbsorptionStructure.batch_delete`` step 1,
-    computed as one packed-key scatter-max (``depth * n + src`` with
-    ``src < n`` makes packed-key order equal lex order).
-    """
-    if not nbs:
-        return {}
-    nb = np.asarray(nbs, dtype=np.int64)
-    key = np.asarray(depths, dtype=np.int64) * n + np.asarray(
-        srcs, dtype=np.int64
-    )
-    uniq, inv = np.unique(nb, return_inverse=True)
-    best = np.full(uniq.size, -1, dtype=np.int64)
-    np.maximum.at(best, inv, key)
-    return {
-        int(u): (int(k) // n, int(k) % n) for u, k in zip(uniq, best)
-    }

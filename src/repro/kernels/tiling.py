@@ -6,7 +6,7 @@ existing numpy kernel body on its slice inside a real OS process
 (:class:`~repro.pram.executor.WorkerPool`), and the partial results are
 merged with the **already-canonicalized reduction** of the serial
 kernel — integer addition for scans (associative even under int64
-wraparound), packed-key ``min``/``max`` for the scatter kernels
+wraparound), packed-key ``min`` for the scatter kernels
 (order-independent), elementwise writes for pointer doubling (disjoint
 slices). That is what keeps the ``parallel`` backend byte-identical to
 ``numpy`` (and hence to ``tracked``): the merge *is* the serial
@@ -53,7 +53,6 @@ __all__ = [
     "connected_components_par",
     "spanning_forest_par",
     "maximal_matching_par",
-    "witness_lexmax_par",
     "nontree_counts_par",
     "rebuild_rooted_forest_par",
 ]
@@ -175,12 +174,6 @@ def _tile_scatter_min2(u, v, keys, rows, row, lo, hi, fill) -> None:
     out[...] = fill
     np.minimum.at(out, u[lo:hi], keys[lo:hi])
     np.minimum.at(out, v[lo:hi], keys[lo:hi])
-
-
-def _tile_scatter_max(idx, keys, rows, row, lo, hi, fill) -> None:
-    out = rows[row]
-    out[...] = fill
-    np.maximum.at(out, idx[lo:hi], keys[lo:hi])
 
 
 def _tile_bincount(xs, rows, row, lo, hi) -> None:
@@ -460,40 +453,8 @@ def maximal_matching_par(
 
 
 # ----------------------------------------------------------------------
-# Absorption re-aggregation + tour-flat builds
+# Absorption counts + tour-flat builds
 # ----------------------------------------------------------------------
-
-def witness_lexmax_par(
-    n: int, nbs: list, depths: list, srcs: list
-) -> dict[int, tuple[int, int]]:
-    """Tiled :func:`~repro.kernels.absorb.witness_lexmax_np`."""
-    pool = _maybe_pool(len(nbs))
-    if pool is None:
-        from .absorb import witness_lexmax_np
-
-        return witness_lexmax_np(n, nbs, depths, srcs)
-    nb = np.asarray(nbs, dtype=np.int64)
-    key = np.asarray(depths, dtype=np.int64) * n + np.asarray(
-        srcs, dtype=np.int64
-    )
-    uniq, inv = np.unique(nb, return_inverse=True)
-    bounds = _tile_bounds(int(nb.size), pool.width)
-    with ShmArena() as a:
-        a.put("idx", inv.astype(np.int64, copy=False))
-        a.put("keys", key)
-        rows = a.empty("rows", (len(bounds), int(uniq.size)), np.int64)
-        pool.run([
-            (_FN % "_tile_scatter_max",
-             {"idx": a.ref("idx"), "keys": a.ref("keys"),
-              "rows": a.ref("rows"), "row": i, "lo": lo, "hi": hi,
-              "fill": -1})
-            for i, (lo, hi) in enumerate(bounds)
-        ])
-        best = np.maximum.reduce(rows, axis=0)
-    return {
-        int(u): (int(k) // n, int(k) % n) for u, k in zip(uniq, best)
-    }
-
 
 def nontree_counts_par(n: int, nt_u, nt_v) -> np.ndarray:
     """Tiled :func:`~repro.kernels.absorb.nontree_counts_np`."""

@@ -44,7 +44,6 @@ from typing import Iterable, Sequence
 from ..graph.graph import Graph
 from ..kernels.dispatch import (
     get_kernel,
-    is_array_backend,
     register_kernel,
     resolve_backend,
 )
@@ -216,7 +215,7 @@ class AbsorptionStructure:
         if prefix is None:
             raise RuntimeError(
                 f"no separator vertex on the tree path {v}..{q} "
-                "(but {q} is flagged — mirror out of sync)"
+                f"(but {q} is flagged — mirror out of sync)"
             )
         return prefix
 
@@ -240,10 +239,6 @@ class AbsorptionStructure:
         # absorbed vertex id — a scatter-max independent of the iteration
         # order of the incident sets.
         neighbor_updates: dict[int, tuple[int, int]] = {}
-        use_np = is_array_backend(self.kernel_backend) and len(dead) > 1
-        trip_nb: list[int] = []
-        trip_d: list[int] = []
-        trip_v: list[int] = []
 
         def snapshot(v: int) -> None:
             t.op(1)
@@ -256,22 +251,11 @@ class AbsorptionStructure:
                 nb = w if u == v else u
                 if nb in dead_set:
                     continue
-                if use_np:
-                    trip_nb.append(nb)
-                    trip_d.append(d)
-                    trip_v.append(v)
-                    continue
                 cur = neighbor_updates.get(nb)
                 if cur is None or (d, v) > cur:
                     neighbor_updates[nb] = (d, v)
 
         t.parallel_for(dead, snapshot)
-        if use_np:
-            from ..kernels.absorb import witness_lexmax_np
-
-            neighbor_updates = witness_lexmax_np(
-                self.g.n, trip_nb, trip_d, trip_v
-            )
 
         # 2) delete all incident edges from the HDT structure (one batch)
         eids: set[int] = set()
@@ -363,7 +347,7 @@ def _absorb_structure_numpy(
             kernel_backend=kernel_backend,
         )
     # rc/rc-det/lct keep the splay/RC structure under numpy (legacy path:
-    # bulk init + vectorized witness reduction, incremental maintenance)
+    # bulk init, incremental maintenance)
     return AbsorptionStructure(
         g, tracker=tracker, backend=backend, global_of=global_of,
         kernel_backend=kernel_backend,

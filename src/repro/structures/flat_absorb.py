@@ -31,16 +31,20 @@ maintaining them per rotation:
   alternately, marking their trails; the first trail collision is the
   LCA, so the walk costs O(|path|) pointer steps — not O(tree depth) —
   replacing the mirror's splay descent;
-* the HDT level structure (:class:`FlatForest`) keeps per-level adjacency
-  dicts and nontree sets. The replacement search takes an isolated
-  endpoint inline, reuses the previous level's side when no level-i
-  tree edge touches it, finds the small side by *alternating*
-  bidirectional BFS (cost O(2 |small|), matching the tracked structure's
-  O(|small|) sweep) that also collects the side's level-i tree edges,
-  and hands sides of ``_ARRAY_SIDE`` or more vertices to one masked
-  pointer-doubling pass over ``parent``/``plev``. Every path charges
-  what the two-pass BFS + collect search charged (a function of the
-  side's size and which endpoint won).
+* the HDT level structure (:class:`FlatForest`) keeps the level-0
+  forest adjacency once (F_i is its edges of level >= i), per-level
+  nontree sets, and per vertex a bitmask of the levels at which it holds
+  non-tree edges. A replacement search takes an isolated endpoint
+  inline, finds the small side by *alternating* bidirectional BFS (cost
+  O(2 |small|), matching the tracked structure's O(|small|) sweep) that
+  also collects the side's level-i tree edges, or hands sides of
+  ``_ARRAY_SIDE`` or more vertices to one masked pointer-doubling pass
+  over ``parent``/``plev``. Each search also returns two masks — the
+  levels of the tree edges leaving the side and of the side's non-tree
+  edges — so the cut jumps straight to the next level where a search or
+  a scan happens, and charges the levels in between in closed form.
+  Every level charges what the two-pass BFS + collect search charged
+  there (a function of the side's size and which endpoint won).
 
 Byte-identical contract (PR 3 canonicalization, gated by the differential
 fuzz harness): min-id ``find_cc``, lex argmin ``lowest_node``,
@@ -86,9 +90,11 @@ class FlatForest:
     Maintains the same level scheme as :class:`~repro.structures.hdt.
     HDTConnectivity` — levels, promotions, sorted replacement scans — and
     emits the identical :class:`ForestChange` sequence for any deletion
-    batch, but represents the level-0 forest as ``parent``/``plev``/
-    ``label`` arrays (surgical cut/link updates plus a relabel of the
-    split-off pieces per batch) instead of splayed Euler tours.
+    batch, but represents the level-0 forest as one adjacency plus
+    ``parent``/``plev``/``label`` arrays (surgical cut/link updates plus a
+    relabel of the split-off pieces per batch) instead of splayed Euler
+    tours. No F_i is stored: it is the part of the level-0 forest whose
+    edges have ``level >= i``.
     """
 
     def __init__(
@@ -109,12 +115,11 @@ class FlatForest:
         #: (level 0 dense, higher levels lazy — only promoted vertices
         #: ever materialize entries)
         self.nontree: list = [[set() for _ in range(g.n)]]
-        #: per level, per vertex: {neighbor: eid} over tree edges of
-        #: level >= i (the F_i adjacency; level 0 is *the* forest)
-        self.tadj: list = [[{} for _ in range(g.n)]]
-        #: live incident edge ids per vertex (for vertex deletion)
-        self.incident: list[set[int]] = [set(eids) for eids in g.adj_eids]
-        self._pair_to_eid: dict[tuple[int, int], int] = {}
+        #: per vertex: {neighbor: eid} over the level-0 forest; F_i is
+        #: the part whose edges have ``level[eid] >= i``
+        self.adj: list[dict[int, int]] = [{} for _ in range(g.n)]
+        #: the graph's incident edge ids per vertex, read through ``alive``
+        self._adj_eids = g.adj_eids
         # rooted-forest arrays: parent is maintained surgically (cut =
         # O(1) child reset, link = one path reversal); plev[x] is the
         # level of the edge (x, parent[x]), -1 at roots; label is the
@@ -148,9 +153,8 @@ class FlatForest:
         for eid in forest:
             u, v = self.endpoints[eid]
             self.is_tree[eid] = True
-            self._pair_to_eid[(u, v)] = eid
-            self.tadj[0][u][v] = eid
-            self.tadj[0][v][u] = eid
+            self.adj[u][v] = eid
+            self.adj[v][u] = eid
         nontree0 = self.nontree[0]
         for eid in range(g.m):
             if self.is_tree[eid]:
@@ -158,6 +162,8 @@ class FlatForest:
             u, v = self.endpoints[eid]
             nontree0[u].add(eid)
             nontree0[v].add(eid)
+        #: per vertex: bit i set iff ``nontree[i][x]`` is non-empty
+        self.ntmask: list[int] = [1 if s else 0 for s in nontree0]
         # initial full build: parent orientation + canonical min-id labels
         # in one vectorized [TV85]+Wyllie pass (depth is scratch — path
         # queries are depth-free, see find_path_s2p)
@@ -269,11 +275,21 @@ class FlatForest:
         return int(self.label[v])
 
     def spanning_forest_edges(self) -> list[tuple[int, int]]:
-        """Current level-0 forest edges as sorted (u, v) pairs."""
-        return sorted(self._pair_to_eid)
+        """Current level-0 forest edges as sorted (u, v) pairs.
+
+        Diagnostics only (an uncharged O(m) pass over ``is_tree``)."""
+        endpoints = self.endpoints
+        tree = [endpoints[e] for e, t in enumerate(self.is_tree) if t]  # repro-lint: disable=R001
+        return sorted(tree)
 
     def edge_alive(self, eid: int) -> bool:
         return self.alive[eid]
+
+    def live_incident(self, v: int) -> list[int]:
+        """Ids of v's live edges: the graph's incidence list filtered by
+        ``alive`` (uncharged; the caller charges what it gathers)."""
+        alive = self.alive
+        return [e for e in self._adj_eids[v] if alive[e]]  # repro-lint: disable=R001
 
     # ------------------------------------------------------------------
     # lowest-neighbor key aggregate
@@ -326,19 +342,15 @@ class FlatForest:
     def _batch_delete(self, eids: Sequence[int]) -> list[ForestChange]:
         changes: list[ForestChange] = []
         tree_eids: list[int] = []
+        alive, is_tree = self.alive, self.is_tree
         for eid in eids:
-            if not self.alive[eid]:
+            if not alive[eid]:
                 raise ValueError(f"edge {eid} already deleted")
-            self.alive[eid] = False
-            u, v = self.endpoints[eid]
-            self.incident[u].discard(eid)
-            self.incident[v].discard(eid)
-            if self.is_tree[eid]:
+            alive[eid] = False
+            if is_tree[eid]:
                 tree_eids.append(eid)
             else:
-                lvl = self.level[eid]
-                self.nontree[lvl][u].discard(eid)
-                self.nontree[lvl][v].discard(eid)
+                self._drop_nontree(eid, self.level[eid])
         if not tree_eids:
             return changes
         groups: dict[int, list[int]] = {}
@@ -357,15 +369,23 @@ class FlatForest:
         self.t.charge(len(eids), 8)
         return changes
 
+    def _drop_nontree(self, f: int, i: int) -> None:
+        """Take non-tree edge f out of level i's sets, clearing the mask
+        bit of an endpoint left with none (uncharged: O(1))."""
+        nontree_i, ntmask = self.nontree[i], self.ntmask
+        for x in self.endpoints[f]:  # repro-lint: disable=R001 (two endpoints)
+            s = nontree_i[x]
+            s.discard(f)
+            if not s:
+                ntmask[x] &= ~(1 << i)
+
     def _delete_tree_edge(self, eid: int) -> list[ForestChange]:
         u, v = self.endpoints[eid]
         lvl = self.level[eid]
         self.is_tree[eid] = False
-        del self._pair_to_eid[(u, v)]
         changes = [ForestChange("cut", u, v)]
-        for i in range(lvl + 1):
-            del self.tadj[i][u][v]
-            del self.tadj[i][v][u]
+        del self.adj[u][v]
+        del self.adj[v][u]
         # O(1) parent surgery: the child side keeps its whole subtree
         # orientation and just becomes a root
         parent = self.parent
@@ -376,104 +396,112 @@ class FlatForest:
             child = u
         parent[child] = -1
         self.plev[child] = -1
+        if lvl + 1 == len(self.nontree):
+            self._grow(lvl + 1)
 
         # charges accumulate locally and land once per cut (the tracker
-        # only sums them)
+        # only sums them); the cut is charged once per F_i it leaves
         work, span = lvl + 1, 1
-        side: list[int] = []
-        side_set: set[int] | None = None
-        won_u = True
-        large = False
-        endpoints, level, tadj, nontree = (
-            self.endpoints, self.level, self.tadj, self.nontree,
+        endpoints, level, nontree, ntmask = (
+            self.endpoints, self.level, self.nontree, self.ntmask,
         )
         observe = self._h_scan.observe
-        for i in range(lvl, -1, -1):
-            tadj_i = tadj[i]
-            nontree_i = nontree[i]
-            if i + 1 == len(tadj):
-                self._grow(i + 1)
-            # the small F_i side (ties to u), its exactly-level-i tree
-            # edges and its vertices holding level-i non-tree edges.  The
-            # charge is the alternating BFS's 2 per popped vertex (4|S|
-            # when u wins, 4|S|+2 when v wins, 2 for an isolated endpoint)
-            # plus a collect pass over the side's F_i tree, |S| + 2(|S|-1)
-            if not tadj_i[u] or not tadj_i[v]:
-                x = u if not tadj_i[u] else v
-                won_u = x == u
-                side, side_set, arcs = [x], {x}, []
-                work += 3
-            else:
-                if side and self._closed(i, side):
-                    # no level-i tree edge touches last level's side, so
-                    # it is a whole F_i component; the other side only
-                    # grew, so the same endpoint still wins
-                    arcs = []
-                else:
-                    found = None if large else self._side_bfs(
-                        i, u, v, _ARRAY_SIDE
-                    )
-                    if found is None:
-                        # |S_i| >= |S_{i+1}|: every lower level is large too
-                        large = True
-                        found = self._side_arrays(i, u, v)
-                    won_u, side, arcs = found
-                    side_set = None
-                work += 7 * len(side) - (2 if won_u else 0)
-            marked = self._marked(i, side)
-            # span: 8 + 8 for search and collect, 1 each for promote, scan
-            span += 18
+        large = False
+        i = lvl
+        while i >= 0:
+            # a search at level i: the small F_i side (ties to u), its
+            # exactly-level-i tree edges, and two level masks — lmask for
+            # the tree edges leaving the side (all below i), nmask for the
+            # side's non-tree edges
+            found = self._endpoint_side(i, u, v)
+            if found is None and not large:
+                found = self._side_bfs(i, u, v, _ARRAY_SIDE)
+            if found is None:
+                # |S_i| >= |S_{i+1}|: every lower level is large too
+                large = True
+                found = self._side_arrays(i, u, v)
+            won_u, side, arcs, lmask, nmask = found
+            # what the two-pass search charged per level: the alternating
+            # BFS's 2 per popped vertex (4|S| when u wins, 4|S|+2 when v
+            # wins, 2 for an isolated endpoint) plus a collect pass over
+            # the side's F_i tree, |S| + 2(|S|-1)
+            cost = 3 if len(side) == 1 else 7 * len(side) - (2 if won_u else 0)
 
-            # 1) promote the small side's level-i tree edges to i+1
-            work += len(arcs) + 1
+            # 1) promote the side's level-i tree edges to i+1
+            work += len(arcs)
             if arcs:
                 self._c_promote.value += len(arcs)
                 self._promote(i, arcs)
 
-            # 2) scan level-i non-tree edges in ascending eid order
-            replacement = None
-            scanned = 0
-            if marked:
-                if side_set is None:
-                    side_set = set(side)
-                cand: set[int] = set()
-                for x in marked:
-                    cand.update(nontree_i[x])
-                nontree_up = nontree[i + 1]
-                # usually the smallest candidate already leaves the side:
-                # take it without sorting the rest
-                first = min(cand)
-                a, b = endpoints[first]
-                head = (first,) if a not in side_set or b not in side_set else ()
-                for f in head or sorted(cand):
-                    scanned += 1
-                    a, b = endpoints[f]
-                    nontree_i[a].discard(f)
-                    nontree_i[b].discard(f)
-                    if a in side_set and b in side_set:
-                        self._c_promote.value += 1
-                        level[f] = i + 1
-                        nontree_up[a].add(f)
-                        nontree_up[b].add(f)
-                    else:
-                        replacement = f
-                        break
-                work += len(cand)
-            observe(scanned)
-            work += scanned + 1
+            side_set: set[int] | None = None
+            while True:
+                # search (or reuse), promote and scan at level i; span:
+                # 8 + 8 for search and collect, 1 each for promote, scan
+                work += cost + 2
+                span += 18
 
-            if replacement is not None:
-                self.t.charge(work, span)
-                a, b = endpoints[replacement]
-                self.is_tree[replacement] = True
-                level[replacement] = i
-                self._pair_to_eid[(a, b)] = replacement
-                for j in range(i + 1):
-                    tadj[j][a][b] = replacement
-                    tadj[j][b][a] = replacement
-                self._link_parents(a, b, i)
-                changes.append(ForestChange("link", a, b))
-                return changes
+                # 2) scan level-i non-tree edges in ascending eid order
+                replacement = None
+                scanned = 0
+                if nmask >> i & 1:
+                    if side_set is None:
+                        side_set = set(side)
+                    nontree_i = nontree[i]
+                    cand: set[int] = set()
+                    for x in side:  # repro-lint: disable=R001 (charged as the collect pass)
+                        if ntmask[x] >> i & 1:
+                            cand.update(nontree_i[x])
+                    nontree_up = nontree[i + 1]
+                    up = 1 << (i + 1)
+                    # usually the smallest candidate already leaves the
+                    # side: take it without sorting the rest
+                    first = min(cand)
+                    a, b = endpoints[first]
+                    head = (first,) if a not in side_set or b not in side_set else ()
+                    for f in head or sorted(cand):
+                        scanned += 1
+                        self._drop_nontree(f, i)
+                        a, b = endpoints[f]
+                        if a in side_set and b in side_set:
+                            self._c_promote.value += 1
+                            level[f] = i + 1
+                            nontree_up[a].add(f)
+                            nontree_up[b].add(f)
+                            ntmask[a] |= up
+                            ntmask[b] |= up
+                        else:
+                            replacement = f
+                            break
+                    work += len(cand)
+                observe(scanned)
+                work += scanned
+
+                if replacement is not None:
+                    self.t.charge(work, span)
+                    a, b = endpoints[replacement]
+                    self.is_tree[replacement] = True
+                    level[replacement] = i
+                    self.adj[a][b] = replacement
+                    self.adj[b][a] = replacement
+                    self._link_parents(a, b, i)
+                    changes.append(ForestChange("link", a, b))
+                    return changes
+
+                # every level strictly between i and the next one with a
+                # bit in either mask keeps this side (no tree edge of that
+                # level leaves it) and has nothing to promote (its tree
+                # edges are all >= i) or scan: what a search there would
+                # have charged and observed, in closed form
+                j = self._next_level(i, lmask | nmask)
+                idle = i - 1 - j
+                work += idle * (cost + 2)
+                span += 18 * idle
+                for _ in range(idle):  # repro-lint: disable=R001 (charged above)
+                    observe(0)
+                i = j
+                if i < 0 or lmask >> i & 1:
+                    # a tree edge of level i leaves the side: search again
+                    break
 
         self.t.charge(work, span)
         # the component split for good: stamp the level-0 small side with
@@ -491,35 +519,19 @@ class FlatForest:
         self._pieces.append((token, len(side)))
         return changes
 
-    def _marked(self, i: int, side: list[int]) -> list[int]:
-        """The vertices of ``side`` holding level-i non-tree edges."""
-        nontree_i = self.nontree[i]
-        # charged by the caller's collect pass; .get keeps the lazy
-        # levels from materializing an empty set per probe
-        if i:
-            return [x for x in side if nontree_i.get(x)]  # repro-lint: disable=R001
-        return [x for x in side if nontree_i[x]]  # repro-lint: disable=R001
-
-    def _closed(self, i: int, side: list[int]) -> bool:
-        """Whether no exactly-level-i tree edge touches ``side``."""
-        tadj_i, tadj_up = self.tadj[i], self.tadj[i + 1]
-        for x in side:  # repro-lint: disable=R001 (charged by the caller)
-            if len(tadj_i[x]) != len(tadj_up[x]):
-                return False
-        return True
+    def _next_level(self, i: int, mask: int) -> int:
+        """The highest level below i with a bit set in ``mask``, or -1."""
+        return (mask & ((1 << i) - 1)).bit_length() - 1
 
     def _promote(self, i: int, arcs: list[int]) -> None:
         """Move the tree edges ``arcs`` from level i to i+1."""
         level, endpoints, parent, plev = (
             self.level, self.endpoints, self.parent, self.plev,
         )
-        tadj_up = self.tadj[i + 1]
         # charged by the caller (one unit per edge)
         for f in arcs:  # repro-lint: disable=R001
             a, b = endpoints[f]
             level[f] = i + 1
-            tadj_up[a][b] = f
-            tadj_up[b][a] = f
             plev[a if parent[a] == b else b] = i + 1
 
     def _link_parents(self, a: int, b: int, lvl: int) -> None:
@@ -554,64 +566,95 @@ class FlatForest:
         self.t.charge(len(pa) + len(pb), 8)
 
     def _grow(self, i: int) -> None:
-        while len(self.tadj) <= i:
+        while len(self.nontree) <= i:
             # lazy level: only vertices actually promoted to this level
             # ever materialize a slot (O(1) alloc, not O(n))
             self.t.charge(1, 1)
-            self.tadj.append(defaultdict(dict))
             self.nontree.append(defaultdict(set))
+
+    # ------------------------------------------------------------------
+    # replacement search: (u won, side, level-i arcs, lmask, nmask)
+    # ------------------------------------------------------------------
+    def _endpoint_side(self, i: int, u: int, v: int):
+        """The side of an endpoint isolated in F_i (u first), or None.
+
+        Its tree edges all leave it below level i: their levels are its
+        lmask."""
+        level = self.level
+        for x in (u, v):  # repro-lint: disable=R001 (two endpoints)
+            lmask = 0
+            for f in self.adj[x].values():  # repro-lint: disable=R001,R002
+                k = level[f]
+                if k >= i:
+                    break
+                lmask |= 1 << k
+            else:
+                return x == u, [x], [], lmask, self.ntmask[x]
+        return None
 
     def _side_bfs(self, i: int, u: int, v: int, budget: int):
         """The small F_i side after cutting (u, v) by alternating BFS.
 
         u advances first: the first side to exhaust is the smaller one,
         ties going to u — the tracked structure's ``u if size(u) <=
-        size(v) else v`` rule at O(2 |small|) cost. F_i components are
-        trees, so every neighbor of a popped vertex except the one that
-        reached it is new (no visited set), and each side's
+        size(v) else v`` rule at O(2 |small|) cost. The walk runs over the
+        level-0 adjacency and follows only edges of level >= i; the levels
+        of the others (tree edges leaving the side) go into its lmask and
+        each popped vertex's ``ntmask`` into its nmask. F_i components are
+        trees, so every followed neighbor of a popped vertex except the
+        one that reached it is new (no visited set), and each side's
         exactly-level-i tree edges are collected as they reach a vertex.
-        Returns ``(u won, side, edge ids)``, or None once both sides have
-        popped ``budget`` vertices. Uncharged: the caller charges by the
-        side's size."""
-        tadj_i = self.tadj[i]
-        level = self.level
+        Returns ``(u won, side, edge ids, lmask, nmask)``, or None once
+        both sides have popped ``budget`` vertices. Uncharged: the caller
+        charges by the side's size."""
+        adj, level, ntmask = self.adj, self.level, self.ntmask
         # lists with read cursors instead of deques: this is the hottest
-        # loop in the structure (one call per level per deleted tree edge)
+        # loop in the structure (one call per search of a deleted edge)
         qu: list[int] = [u]
         fu: list[int] = [-1]
         au: list[int] = []
-        iu = 0
+        lmu = nmu = iu = 0
         qv: list[int] = [v]
         fv: list[int] = [-1]
         av: list[int] = []
-        iv = 0
+        lmv = nmv = iv = 0
         # dict order never reaches an output: the winner is decided by
-        # size alone and its edges are only promoted
+        # size alone, its edges are only promoted and the masks are ORs
         while True:  # repro-lint: disable=R001 (charged by the caller)
             if iu == len(qu):
-                return True, qu, au
+                return True, qu, au, lmu, nmu
             if iu == budget:
                 return None
             x = qu[iu]
             px = fu[iu]
             iu += 1
-            for nbr, f in tadj_i[x].items():  # repro-lint: disable=R001,R002
+            nmu |= ntmask[x]
+            for nbr, f in adj[x].items():  # repro-lint: disable=R001,R002
                 if nbr != px:
-                    qu.append(nbr)
-                    fu.append(x)
-                    if level[f] == i:
-                        au.append(f)
+                    k = level[f]
+                    if k < i:
+                        lmu |= 1 << k
+                    else:
+                        qu.append(nbr)
+                        fu.append(x)
+                        if k == i:
+                            au.append(f)
             if iv == len(qv):
-                return False, qv, av
+                return False, qv, av, lmv, nmv
             x = qv[iv]
             px = fv[iv]
             iv += 1
-            for nbr, f in tadj_i[x].items():  # repro-lint: disable=R001,R002
+            nmv |= ntmask[x]
+            for nbr, f in adj[x].items():  # repro-lint: disable=R001,R002
                 if nbr != px:
-                    qv.append(nbr)
-                    fv.append(x)
-                    if level[f] == i:
-                        av.append(f)
+                    k = level[f]
+                    if k < i:
+                        lmv |= 1 << k
+                    else:
+                        qv.append(nbr)
+                        fv.append(x)
+                        if k == i:
+                            av.append(f)
 
     def _side_arrays(self, i: int, u: int, v: int):
         """:meth:`_side_bfs` without a budget, from the level-0 arrays.
@@ -621,15 +664,18 @@ class FlatForest:
         while ``plev >= i``: one masked pointer-doubling pass gives every
         vertex its F_i top, and the two sides are the vertices sharing
         u's and v's tops. The side's exactly-level-i tree edges are the
-        parent edges of its members with ``plev == i``."""
+        parent edges of its members with ``plev == i``; the tree edges
+        leaving it are its top's parent edge and the parent edges of the
+        outside vertices hanging off it."""
         label = self.label
         lab = int(label[u])
         arr = self._members[lab]
         comp = arr[label[arr] == lab]
         pos = self._pos
         pos[comp] = np.arange(comp.size)
+        par = self.parent[comp]
         pl = self.plev[comp]
-        up = pos[np.where(pl >= i, self.parent[comp], comp)]
+        up = pos[np.where(pl >= i, par, comp)]
         # O(log depth) doubling rounds; uncharged like _side_bfs
         while True:  # repro-lint: disable=R001
             nxt = up[up]
@@ -641,11 +687,23 @@ class FlatForest:
         won_u = int(np.count_nonzero(in_u)) <= int(np.count_nonzero(in_v))
         mask = in_u if won_u else in_v
         side = comp[mask].tolist()
-        kids = comp[mask & (pl == i)]
-        tadj_i = self.tadj[i]
-        pars = self.parent[kids].tolist()
-        arcs = [tadj_i[x][p] for x, p in zip(kids.tolist(), pars)]  # repro-lint: disable=R001
-        return won_u, side, arcs
+        kids = mask & (pl == i)
+        adj = self.adj
+        arcs = [  # repro-lint: disable=R001
+            adj[x][p] for x, p in zip(comp[kids].tolist(), par[kids].tolist())
+        ]
+        # a parent edge leaves the side when exactly one end is in it
+        # (roots map to themselves and have plev -1)
+        ppos = pos[np.where(pl >= 0, par, comp)]
+        leaving = (pl >= 0) & (pl < i) & (mask | mask[ppos])
+        lmask = 0
+        for k in np.unique(pl[leaving]).tolist():  # repro-lint: disable=R001
+            lmask |= 1 << k
+        ntmask = self.ntmask
+        nmask = 0
+        for x in side:  # repro-lint: disable=R001
+            nmask |= ntmask[x]
+        return won_u, side, arcs, lmask, nmask
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
@@ -653,18 +711,27 @@ class FlatForest:
 
         Diagnostics only — outside Theorem 1.1's cost budget, so the
         scans below are deliberately uncharged."""
+        trees = 0
         for eid, (u, v) in enumerate(self.endpoints):  # repro-lint: disable=R001
             if not self.alive[eid]:
                 continue
             lvl = self.level[eid]
             assert 0 <= lvl <= self.L + 1
             if self.is_tree[eid]:
-                for i in range(lvl + 1):  # repro-lint: disable=R001
-                    assert self.tadj[i][u].get(v) == eid
-                    assert self.tadj[i][v].get(u) == eid
+                trees += 1
+                assert self.adj[u].get(v) == eid
+                assert self.adj[v].get(u) == eid
             else:
                 assert eid in self.nontree[lvl][u]
                 assert eid in self.nontree[lvl][v]
+        assert sum(map(len, self.adj)) == 2 * trees, "stale forest edge"
+        # ntmask bit i is set exactly where nontree[i] holds edges
+        for x in range(self.n):  # repro-lint: disable=R001
+            want = 0
+            for i, sets in enumerate(self.nontree):  # repro-lint: disable=R001
+                if sets[x] if i == 0 else sets.get(x):
+                    want |= 1 << i
+            assert self.ntmask[x] == want, f"ntmask of {x} out of sync"
         assert not self._pieces, "split pieces left unfinalized"
         # parent/plev/label arrays, member supersets, sizes and key heaps
         # agree with the level-0 adjacency: one root per component, parent
@@ -677,7 +744,7 @@ class FlatForest:
             comp = [s]
             seen.add(s)
             for x in comp:  # repro-lint: disable=R001
-                for y in self.tadj[0][x]:  # repro-lint: disable=R001,R002
+                for y in self.adj[x]:  # repro-lint: disable=R001,R002
                     if y not in seen:
                         seen.add(y)
                         comp.append(y)
@@ -691,7 +758,7 @@ class FlatForest:
                 if p == -1:
                     assert self.plev[x] == -1, "root with a parent level"
                 else:
-                    f = self.tadj[0][x].get(p)
+                    f = self.adj[x].get(p)
                     assert f is not None, "parent not a tree edge"
                     assert self.plev[x] == self.level[f], "plev out of sync"
             mem = self._members.get(lab)
@@ -858,39 +925,34 @@ class FlatAbsorptionStructure:
                 return path[: i + 1]
         raise RuntimeError(
             f"no separator vertex on the tree path {v}..{q} "
-            "(but {q} is flagged — structure out of sync)"
+            f"(but {q} is flagged — structure out of sync)"
         )
 
     def batch_delete(self, deleted: Sequence[tuple[int, int]]) -> None:
         """Delete absorbed vertices from H (same contract and canonical
         witness reduction as the tracked structure's ``batch_delete``)."""
-        from ..kernels.absorb import witness_lexmax_np
-
         dead = [v for v, _ in deleted]
         dead_set = set(dead)
 
-        # 1) snapshot surviving H-neighbors ((depth, vertex) lex-max) and
-        #    gather the incident edges
-        trip_nb: list[int] = []
-        trip_d: list[int] = []
-        trip_v: list[int] = []
+        # 1) gather the incident edges and snapshot each surviving
+        #    H-neighbor's (depth, vertex) lex-max witness
+        neighbor_updates: dict[int, tuple[int, int]] = {}
         eids: set[int] = set()
         gathered = 0
-        incident, endpoints = self.hdt.incident, self.hdt.endpoints
+        live_incident, endpoints = self.hdt.live_incident, self.hdt.endpoints
         for v, d in deleted:
             if v in self.deleted:
                 raise ValueError(f"vertex {v} deleted twice")
-            inc = incident[v]
+            inc = live_incident(v)
             gathered += len(inc)
             eids.update(inc)
             for eid in inc:
                 u, w = endpoints[eid]
                 nb = w if u == v else u
                 if nb not in dead_set:
-                    trip_nb.append(nb)
-                    trip_d.append(d)
-                    trip_v.append(v)
-        neighbor_updates = witness_lexmax_np(self.g.n, trip_nb, trip_d, trip_v)
+                    cur = neighbor_updates.get(nb)
+                    if cur is None or (d, v) > cur:
+                        neighbor_updates[nb] = (d, v)
 
         # 2) delete all incident edges in one HDT batch (rebuild inside)
         self.t.charge(len(dead) + gathered, 8)

@@ -236,7 +236,7 @@ def _forest_trace(g: Graph, seed: int, batches: int, invariants: bool):
             batch = sorted(rng.sample(sorted(live), k))
         else:
             vs = rng.sample(range(g.n), rng.randrange(1, 6))
-            batch = sorted({e for v in vs for e in f.incident[v]})
+            batch = sorted({e for v in vs for e in f.live_incident(v)})
         live.difference_update(batch)
         changes = f.batch_delete(batch)
         probes = rng.sample(range(g.n), min(g.n, 8))
@@ -333,8 +333,8 @@ class TestDeletionGolden:
 
 class TestArraySearchParity:
     """With the threshold at 1 every non-singleton replacement search
-    runs on the arrays; each call must find the BFS's side, level-i tree
-    edges and marked vertices."""
+    runs on the arrays; each call must find the BFS's winner, side,
+    level-i tree edges and both level masks."""
 
     @pytest.mark.parametrize("name", ["gnm", "path", "grid", "spider"])
     def test_array_search_matches_bfs(self, monkeypatch, name):
@@ -347,10 +347,9 @@ class TestArraySearchParity:
                 assert got[0] == want[0], "different winner"
                 assert sorted(got[1]) == sorted(want[1]), "different side"
                 assert sorted(got[2]) == sorted(want[2]), "different arcs"
-                assert sorted(self._marked(i, got[1])) == sorted(
-                    self._marked(i, want[1])
-                )
-                calls.append(len(got[1]))
+                assert got[3] == want[3], "different tree-edge levels"
+                assert got[4] == want[4], "different non-tree levels"
+                calls.append((len(got[1]), got[3]))
                 return got
 
         # both construction sites build the checking subclass
@@ -360,4 +359,187 @@ class TestArraySearchParity:
         g = _golden_graph(name)
         _forest_trace(g, 3, 30, False)
         _absorb_trace(g, 3, 30, True)
-        assert len(calls) > 20 and max(calls) > 1
+        assert len(calls) > 20 and max(size for size, _ in calls) > 1
+        if name in ("gnm", "grid"):
+            # promotions happen here, so some searches see tree edges
+            # leaving the side below level i
+            assert any(lmask for _, lmask in calls)
+
+
+class NoSkipForest(FlatForest):
+    """Reference twin that runs every level of a cut.
+
+    Wherever :class:`FlatForest` jumps from level i to the next level
+    with a bit in its masks, this subclass instead searches each level
+    it would skip afresh, asserts that the search finds the same side
+    and nothing to promote, and that the side has neither a tree edge
+    leaving it nor a non-tree edge at that level; then it runs the level
+    through the general per-level body rather than the closed-form
+    charge."""
+
+    skipped = 0
+
+    def _endpoint_side(self, i, u, v):
+        found = super()._endpoint_side(i, u, v)
+        self.cur = (u, v, found)
+        return found
+
+    def _side_bfs(self, i, u, v, budget):
+        found = super()._side_bfs(i, u, v, budget)
+        self.cur = (u, v, found)
+        return found
+
+    def _side_arrays(self, i, u, v):
+        found = super()._side_arrays(i, u, v)
+        self.cur = (u, v, found)
+        return found
+
+    def _next_level(self, i, mask):
+        j = super()._next_level(i, mask)
+        u, v, (won_u, side, _, _, _) = self.cur
+        members = set(side)
+        for k in range(i - 1, j, -1):
+            fresh = FlatForest._endpoint_side(self, k, u, v)
+            if fresh is None:
+                fresh = FlatForest._side_bfs(self, k, u, v, self.n + 1)
+            assert fresh[0] == won_u, "a skipped level changes the winner"
+            assert sorted(fresh[1]) == sorted(side), "a skipped level grows"
+            assert fresh[2] == [], "a skipped level has tree edges to promote"
+            for x in side:
+                assert not (self.nontree[k][x] if k == 0
+                            else self.nontree[k].get(x)), (
+                    f"skipped level {k} has a non-tree edge at {x}"
+                )
+                for nbr, f in self.adj[x].items():
+                    assert nbr in members or self.level[f] != k, (
+                        f"skipped level {k} has a tree edge leaving the side"
+                    )
+            NoSkipForest.skipped += 1
+        return i - 1
+
+
+#: golden graphs whose traces promote edges past level 0, so that cuts
+#: have levels to skip (the star and the path never do)
+_MULTILEVEL = ("gnm", "grid", "spider")
+
+
+class TestLevelSkip:
+    """The jump to the next level with a bit in the masks is exact: the
+    no-skip twin reproduces every golden trace (changes, answers, every
+    tracker charge) while checking each jumped-over level, and the
+    promotion counter and replacement-scan histogram match the tracked
+    HDT structure's, idle levels included."""
+
+    @pytest.mark.parametrize("threshold", [None, 1])
+    @pytest.mark.parametrize(
+        "name,batches,invariants,forest,absorb",
+        [case for case in _GOLDEN if case[0] in _MULTILEVEL],
+        ids=[case[0] for case in _GOLDEN if case[0] in _MULTILEVEL],
+    )
+    def test_no_skip_twin_replays_goldens(
+        self, monkeypatch, threshold, name, batches, invariants, forest,
+        absorb,
+    ):
+        if threshold is not None:
+            monkeypatch.setattr(flat_absorb, "_ARRAY_SIDE", threshold)
+        monkeypatch.setattr(flat_absorb, "FlatForest", NoSkipForest)
+        monkeypatch.setitem(globals(), "FlatForest", NoSkipForest)
+        monkeypatch.setattr(NoSkipForest, "skipped", 0)
+        g = _golden_graph(name)
+        assert _forest_trace(g, 7, batches, invariants) == forest
+        assert _absorb_trace(g, 7, batches, invariants) == absorb
+        assert NoSkipForest.skipped > 0
+
+    @pytest.mark.parametrize("name", ["gnm", "grid", "spider"])
+    def test_scan_metrics_match_tracked_hdt(self, name):
+        from repro.structures.hdt import HDTConnectivity
+
+        g = _golden_graph(name)
+        ref = HDTConnectivity(g, tracker=Tracker())
+        flat = FlatForest(g, tracker=Tracker(), kernel_backend="numpy")
+        rng = random.Random(5)
+        for _ in range(40):
+            vs = rng.sample(range(g.n), rng.randrange(1, 6))
+            batch = sorted({e for v in vs for e in flat.live_incident(v)})
+            assert ref.batch_delete(batch) == flat.batch_delete(batch)
+        assert flat._c_promote.value == ref._c_promote.value > 0
+        assert flat._h_scan.summary() == ref._h_scan.summary()
+        assert flat._h_scan.count > flat._h_scan.total
+
+
+class TestWitnessAndPathErrors:
+    """Canonical witness ties and the find_path_s2p sync error, on the
+    flat structure and the tracked one it mirrors."""
+
+    @staticmethod
+    def _structures(g):
+        from repro.structures.absorb_ds import AbsorptionStructure
+
+        return [
+            FlatAbsorptionStructure(g, tracker=Tracker(),
+                                    kernel_backend="numpy"),
+            AbsorptionStructure(g, tracker=Tracker(), backend="flat",
+                                kernel_backend="numpy"),
+            AbsorptionStructure(g, tracker=Tracker(), backend="flat",
+                                kernel_backend="tracked"),
+        ]
+
+    @pytest.mark.parametrize("order", [(1, 2), (2, 1)], ids=["12", "21"])
+    def test_same_depth_witnesses_keep_larger_id(self, order):
+        # survivor 0 loses two neighbors absorbed at the same depth in
+        # one batch; its new witness is the larger absorbed id
+        g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        for s in self._structures(g):
+            s.set_separator([3])
+            s.batch_delete([(v, 5) for v in order])
+            assert s.low_witness[0] == (5, 2)
+            assert s.lowest_node(3) == (0, 2, 5)
+
+    def test_find_path_error_names_q(self):
+        g = path_graph(8)
+        for s in self._structures(g):
+            s.set_separator([3])
+            s.unset_separator([3])
+            with pytest.raises(RuntimeError) as exc:
+                s.find_path_s2p(7, 0)
+            assert "but 7 is flagged" in str(exc.value)
+            assert "{q}" not in str(exc.value)
+
+
+class TestMemoryGuard:
+    """The flat forest keeps one level-0 adjacency, no per-level copies
+    and no second copy of the incidence lists: its traced peak through a
+    vertex-deletion sequence stays within a small multiple of the
+    graph's own footprint."""
+
+    #: traced peak / graph footprint on gnm(3000, 4500, seed=5), batches
+    #: of 5 shuffled vertices until half are gone (CPython 3.11.7, numpy
+    #: 2.4): 4.84 with one adjacency dict per level, an incident-edge set
+    #: per vertex and a pair -> edge id map; 2.98 with one adjacency
+    _MAX_RATIO = 3.9
+
+    def test_peak_over_graph_footprint(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            g = gnm_random_connected_graph(3000, 4500, seed=5)
+            graph_bytes = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            f = FlatForest(g, tracker=Tracker(), kernel_backend="numpy")
+            order = list(range(g.n))
+            random.Random(0).shuffle(order)
+            for k in range(0, g.n // 2, 5):
+                vs = order[k:k + 5]
+                f.batch_delete(
+                    sorted({e for v in vs for e in f.live_incident(v)})
+                )
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        ratio = peak / graph_bytes
+        assert ratio < self._MAX_RATIO, (
+            f"traced peak {peak / 2**20:.2f} MiB is {ratio:.2f}x the "
+            f"graph's {graph_bytes / 2**20:.2f} MiB"
+        )

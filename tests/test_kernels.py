@@ -752,23 +752,6 @@ class TestAbsorbKernels:
         assert counts.tolist() == [2, 1, 1, 1, 1, 2, 0]
         assert nontree_counts_np(3, [], []).tolist() == [0, 0, 0]
 
-    def test_witness_lexmax_matches_dict_reference(self):
-        from repro.kernels.absorb import witness_lexmax_np
-
-        rng = random.Random(11)
-        for _ in range(30):
-            n = rng.randrange(2, 40)
-            k = rng.randrange(0, 60)
-            nb = [rng.randrange(n) for _ in range(k)]
-            d = [rng.randrange(0, 25) for _ in range(k)]
-            src = [rng.randrange(n) for _ in range(k)]
-            want: dict[int, tuple[int, int]] = {}
-            for i in range(k):
-                cur = want.get(nb[i])
-                if cur is None or (d[i], src[i]) > cur:
-                    want[nb[i]] = (d[i], src[i])
-            assert witness_lexmax_np(n, nb, d, src) == want
-
     def test_forest_euler_tours_rebuilds_identical_forest(self):
         from repro.kernels.absorb import forest_euler_tours
         from repro.structures.euler_tour import EulerTourForest
