@@ -1,8 +1,7 @@
 """E14 — wall-clock sanity of the simulator itself.
 
 The paper's claims are about work/depth, not Python wall time; this bench
-exists so regressions in the *simulation's* speed are visible, and to
-demonstrate the thread-pool executor on an embarrassingly parallel phase.
+exists so regressions in the *simulation's* speed are visible.
 These are classic pytest-benchmark timings (several rounds each). The
 per-case means are collected as they run and published to
 ``results/e14_wallclock.txt`` + the JSON ledger by the final test, so
@@ -20,7 +19,7 @@ from repro.analysis import format_table
 from repro.baselines.sequential import sequential_dfs
 from repro.core.dfs import parallel_dfs
 from repro.graph.generators import gnm_random_connected_graph
-from repro.pram import Tracker, run_parallel
+from repro.pram import Tracker
 
 G_SMALL = gnm_random_connected_graph(256, 768, seed=0)
 G_MED = gnm_random_connected_graph(1024, 3072, seed=0)
@@ -53,21 +52,6 @@ def test_e14_wallclock_parallel_dfs_medium(benchmark):
 def test_e14_wallclock_sequential_dfs(benchmark):
     benchmark(lambda: sequential_dfs(G_MED, 0, Tracker()))
     _record("sequential_dfs n=1024", benchmark)
-
-
-def test_e14_wallclock_threadpool_demo(benchmark):
-    # demonstration that parallel_for bodies are genuinely independent:
-    # a real thread pool maps over them without coordination
-    items = list(range(2000))
-
-    def body(v):
-        acc = 0
-        for w in G_MED.adj[v % G_MED.n]:
-            acc += w
-        return acc
-
-    benchmark(lambda: run_parallel(items, body, workers=4))
-    _record("threadpool demo 2000 items", benchmark)
 
 
 def test_e14_publish():

@@ -45,15 +45,13 @@ _git_sha: str | None = None
 
 
 def _provenance(ran: dict | None) -> dict:
-    """Reproducibility stamp: commit, engine, structure, workers, cores,
-    platform.
+    """Reproducibility stamp: commit, engine, structure, cores, platform.
 
     ``ran`` is what the bench passed to the library — ``kernel_backend``
     (one engine name, or a list when it compares several) and
     ``structure``; ``None`` means it passed no engine, so the process
-    default ran. ``workers``/``cpu_count``/``platform`` make T_p entries
-    portable — a speedup curve means nothing without the width it ran at
-    and the machine it ran on.
+    default ran. ``cpu_count``/``platform`` make wall-clock entries
+    portable — a timing means nothing without the machine it ran on.
     """
     global _git_sha
     if _git_sha is None:
@@ -68,12 +66,10 @@ def _provenance(ran: dict | None) -> dict:
         except (OSError, subprocess.SubprocessError):
             _git_sha = "unknown"
     from repro.kernels.dispatch import default_backend
-    from repro.pram.executor import default_workers
 
     return {
         "git_sha": _git_sha,
         **(ran if ran is not None else {"kernel_backend": default_backend()}),
-        "workers": default_workers(),
         "cpu_count": os.cpu_count() or 1,
         "platform": f"{platform.system()}-{platform.machine()}-py{platform.python_version()}",
     }

@@ -1,12 +1,5 @@
 """Experiment harness: measurement records, fits, sweep runners."""
 
-from .brent import (
-    EnvelopeVerdict,
-    calibrate,
-    check_envelope,
-    envelope_report,
-    format_report,
-)
 from .metrics import (
     Measurement,
     format_table,
@@ -24,11 +17,6 @@ from .runner import (
 )
 
 __all__ = [
-    "EnvelopeVerdict",
-    "calibrate",
-    "check_envelope",
-    "envelope_report",
-    "format_report",
     "Measurement",
     "format_table",
     "geometric_sizes",

@@ -9,7 +9,7 @@ test: it draws graphs from every generator family
 (:data:`repro.graph.generators.FAMILIES`) plus adversarial shapes
 (:data:`ADVERSARIAL_FAMILIES`: long paths, stars, complete bipartite
 graphs, forests of tiny components, mostly-isolated vertices, n in
-{1, 2}) and random operation sequences
+{1, 2}, random k-trees) and random operation sequences
 for the Lemma 5.1 absorption structure, runs them under both backends,
 and cross-checks the results against each other and against brute-force
 oracles (:mod:`repro.core.verify` for trees, a dict/set reference model
@@ -137,6 +137,20 @@ def _adv_isolated(n: int, seed: int) -> Graph:
     return _relabeled(n, rng.sample(pairs, min(len(pairs), 2 * core)), seed)
 
 
+def _adv_ktree(n: int, seed: int) -> Graph:
+    # a random k-tree (chordal, treewidth k): a (k+1)-clique, then each
+    # new vertex joined to all of a random existing k-clique
+    k = min(1 + seed % 3, n - 1)
+    rng = random.Random(seed)
+    edges = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
+    cliques = [tuple(c for c in range(k + 1) if c != i) for i in range(k + 1)]
+    for v in range(k + 1, n):
+        base = rng.choice(cliques)
+        edges.extend((u, v) for u in base)
+        cliques.extend(base[:i] + base[i + 1:] + (v,) for i in range(k))
+    return _relabeled(n, edges, seed)
+
+
 def _adv_tiny(n: int, seed: int) -> Graph:
     # n in {1, 2}: the one-vertex graph, two isolated vertices, one edge
     return [Graph(1, []), Graph(2, []), Graph(2, [(0, 1)])][seed % 3]
@@ -151,6 +165,7 @@ ADVERSARIAL_FAMILIES = {
     "tinyforest": _adv_tinyforest,
     "isolated": _adv_isolated,
     "tiny": _adv_tiny,
+    "ktree": _adv_ktree,
 }
 
 
@@ -160,12 +175,9 @@ def fuzz_graph(family: str, n: int, seed: int) -> Graph:
     return adv(n, seed) if adv is not None else make_family(family, n, seed=seed)
 
 
-#: kernel backends every DFS case runs under — byte-identity is checked
-#: pairwise against the tracked instrument. The parallel column runs the
-#: tiled multiprocess shims (serial in-process below the tiling
-#: threshold, which fuzz-sized graphs always are; the genuine pool
-#: paths are pinned separately by tests/test_parallel_backend.py).
-_BACKENDS = ("tracked", "numpy", "parallel")
+#: kernel backends every DFS, op-sequence and service case runs under —
+#: byte-identity is checked against the tracked instrument
+_BACKENDS = ("tracked", "numpy")
 
 #: structure backends the op-sequence cases run in lockstep. Each pair
 #: (structure backend x kernel backend) must agree on every canonical
@@ -466,11 +478,6 @@ def check_ops_case(g: Graph, ops: Sequence[tuple]) -> None:
 # Service cases: incremental maintenance vs full recompute
 # ----------------------------------------------------------------------
 
-#: kernel backends the service cases run under (the parallel column is
-#: covered by the service load/stateful tests; fuzz keeps the per-case
-#: cost down so CI reaches its min-case floor inside the budget)
-_SERVICE_BACKENDS = ("tracked", "numpy")
-
 #: rebuild_fraction values exercised: 0.0 forces every batch through the
 #: full-rebuild path (global invalidation), 1.0 forces every batch
 #: through the incremental HDT path, 0.25 is the service default mix
@@ -529,7 +536,7 @@ def check_service_case(
             kernel_backend=kb,
             rebuild_fraction=rebuild_fraction,
         )
-        for kb in _SERVICE_BACKENDS
+        for kb in _BACKENDS
     }
     mutations_seen = {kb: rg.dyn.mutations for kb, rg in rgs.items()}
 

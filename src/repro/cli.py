@@ -43,7 +43,30 @@ __all__ = ["main"]
 #: ``--backend`` values that name a kernel execution engine rather than a
 #: Lemma 5.1 absorption structure (the structure then stays at "flat",
 #: the array-native default that pairs with the array engines)
-_KERNEL_BACKENDS = ("tracked", "numpy", "parallel")
+_KERNEL_BACKENDS = ("tracked", "numpy")
+
+
+def _int_at_least(lo: int):
+    """argparse type: an int ``>= lo`` (a bad value exits 2 with usage)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _size_list(text: str) -> list[int]:
+    """argparse type: comma-separated positive ints (``--sizes``)."""
+    return [_positive_int(s) for s in text.split(",")]
 
 
 def _cmd_dfs(args: argparse.Namespace) -> int:
@@ -59,18 +82,15 @@ def _cmd_dfs(args: argparse.Namespace) -> int:
             return 2
     else:
         g = make_family(args.family, args.n, seed=args.seed)
+    if not 0 <= args.root < g.n:
+        print(f"repro dfs: root {args.root} out of range [0, {g.n})",
+              file=sys.stderr)
+        return 2
     structure = args.backend
     kernel_backend = None
     if args.backend in _KERNEL_BACKENDS:
         structure = "flat"
         kernel_backend = args.backend
-    if args.workers is not None:
-        if kernel_backend != "parallel":
-            print("--workers requires --backend parallel", file=sys.stderr)
-            return 2
-        from .pram.executor import get_pool
-
-        get_pool(args.workers)
     t = Tracker()
     trc = mtr = None
     scope = nullcontext()
@@ -123,7 +143,7 @@ def _cmd_dfs(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = args.sizes
     ms = sweep(
         args.family,
         sizes,
@@ -314,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, metavar="DIR",
                    help="record a span trace and write trace.json/.jsonl/"
                         ".txt into DIR (see docs/observability.md)")
-    p.add_argument("--n", type=int, default=512)
+    p.add_argument("--n", type=_positive_int, default=512)
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -322,25 +342,21 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("rc", "rc-det", "lct", "flat") + _KERNEL_BACKENDS,
         default="rc",
         help="absorption structure (rc/rc-det/lct/flat) or kernel engine "
-             "(tracked/numpy/parallel; structure then defaults to flat)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker-process count for --backend parallel "
-             "(default: REPRO_WORKERS or cpu count)",
+             "(tracked/numpy; structure then defaults to flat)",
     )
     p.set_defaults(fn=_cmd_dfs)
 
     p = sub.add_parser("sweep", help="size sweep with scaling slopes")
     p.add_argument("--family", choices=sorted(FAMILIES), default="gnm")
-    p.add_argument("--sizes", default="256,512,1024")
+    p.add_argument("--sizes", type=_size_list, default="256,512,1024")
     p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="parallel")
-    p.add_argument("--seeds", type=int, default=1)
+    p.add_argument("--seeds", type=_positive_int, default=1)
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("selfcheck", help="validate random instances")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--max-n", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=20)
+    # n is drawn from [2, max_n), so the range needs max_n >= 3
+    p.add_argument("--max-n", type=_int_at_least(3), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_selfcheck)
 

@@ -23,7 +23,6 @@ instrumented entry points (``pram.primitives``, ``listrank.ranking``,
 """
 
 from .dispatch import (
-    ARRAY_BACKENDS,
     BACKENDS,
     default_backend,
     get_kernel,
@@ -43,11 +42,9 @@ from . import (
     subgraph,
     absorb,
     tour_flat,
-    tiling,
 )
 
 __all__ = [
-    "ARRAY_BACKENDS",
     "BACKENDS",
     "default_backend",
     "is_array_backend",
@@ -65,7 +62,6 @@ __all__ = [
     "subgraph",
     "absorb",
     "tour_flat",
-    "tiling",
 ]
 
 # numpy implementations of the operations the instrumented entry points
@@ -98,23 +94,6 @@ register_kernel("anderson_miller_ranks", "numpy", listrank.anderson_miller_ranks
 register_kernel("euler_tour_order", "numpy", euler.euler_tour_order)
 register_kernel("maximal_matching_raw", "numpy", matching.maximal_matching_graph)
 register_kernel("rebuild_rooted_forest", "numpy", tour_flat.rebuild_rooted_forest)
-
-# parallel (multiprocess) column: tiled shims over the numpy kernels for
-# the operations whose merge step is a canonical reduction; every other
-# operation falls back to its numpy registration inside get_kernel (the
-# numpy kernel *is* the parallel serial path — outputs byte-identical)
-register_kernel("exclusive_scan", "parallel", tiling.exclusive_scan_par)
-register_kernel("inclusive_scan", "parallel", tiling.inclusive_scan_par)
-register_kernel("reduce_sum", "parallel", tiling.reduce_sum_par)
-register_kernel("reduce_max", "parallel", tiling.reduce_max_par)
-register_kernel("reduce_min", "parallel", tiling.reduce_min_par)
-register_kernel("wyllie_ranks", "parallel", tiling.wyllie_ranks_par)
-register_kernel("prefix_sums_on_lists", "parallel", tiling.prefix_sums_on_lists_par)
-register_kernel("connected_components", "parallel", tiling.connected_components_par)
-register_kernel("spanning_forest", "parallel", tiling.spanning_forest_par)
-register_kernel("maximal_matching", "parallel", tiling.maximal_matching_par)
-register_kernel("nontree_counts", "parallel", tiling.nontree_counts_par)
-register_kernel("rebuild_rooted_forest", "parallel", tiling.rebuild_rooted_forest_par)
 
 
 def _register_tracked() -> None:

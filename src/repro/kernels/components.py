@@ -44,19 +44,12 @@ def components_arrays(  # repro-lint: disable=R004
     edge_v: np.ndarray,
     record_edges: bool = False,
     t: Tracker | None = None,
-    _propose=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hook-and-jump contraction over endpoint arrays.
 
     Returns ``(labels, forest)``: ``labels[v]`` is the minimum vertex id
     in ``v``'s component; ``forest`` the spanning-forest edge ids in the
     tracked backend's recording order (empty unless ``record_edges``).
-
-    ``_propose`` (private) swaps out step 1's scatter-min: given the
-    current label array it must return ``(best, has_cross)`` with the
-    same per-root combined-key minima this function computes inline —
-    the parallel backend supplies a tiled version whose
-    ``np.minimum.reduce`` merge is value-identical by commutativity.
     """
     label = np.arange(n, dtype=np.int64)
     forest_parts: list[np.ndarray] = []
@@ -74,29 +67,21 @@ def components_arrays(  # repro-lint: disable=R004
     big = n * key_m  # > any real key lo * key_m + eid
 
     for _round in range(2 * max(1, n).bit_length() + 2):
-        if _propose is not None:
-            best, has_cross = _propose(label)
-            if t is not None:
-                # propose pass over all edges + the min-combining tree
-                t.charge(m, 1 + logn)
-            if not has_cross:
-                break
-        else:
-            lu = label[edge_u]
-            lv = label[edge_v]
-            cross = np.flatnonzero(lu != lv)
-            if t is not None:
-                # propose pass over all edges + the min-combining tree
-                t.charge(m, 1 + logn)
-            if cross.size == 0:
-                break
-            l1 = lu[cross]
-            l2 = lv[cross]
-            hi = np.maximum(l1, l2)
-            lo = np.minimum(l1, l2)
-            key = lo * key_m + cross  # integer order == lex (lo, eid) order
-            best = np.full(n, big, dtype=np.int64)
-            np.minimum.at(best, hi, key)
+        lu = label[edge_u]
+        lv = label[edge_v]
+        cross = np.flatnonzero(lu != lv)
+        if t is not None:
+            # propose pass over all edges + the min-combining tree
+            t.charge(m, 1 + logn)
+        if cross.size == 0:
+            break
+        l1 = lu[cross]
+        l2 = lv[cross]
+        hi = np.maximum(l1, l2)
+        lo = np.minimum(l1, l2)
+        key = lo * key_m + cross  # integer order == lex (lo, eid) order
+        best = np.full(n, big, dtype=np.int64)
+        np.minimum.at(best, hi, key)
 
         roots = np.flatnonzero(best < big)  # ascending == sorted(proposals)
         win = best[roots]

@@ -1,23 +1,19 @@
 """Backend dispatch for the kernel subsystem.
 
-Three backends exist:
+Two backends exist:
 
 * ``"tracked"`` — the per-element instrumented Python implementations
   (the measurement instrument; exact work/span accounting);
 * ``"numpy"`` — the vectorized batch kernels in this package (the fast
-  execution engine; aggregate work/span accounting);
-* ``"parallel"`` — the numpy kernels executed across real OS worker
-  processes over shared-memory arrays (:mod:`repro.kernels.tiling` +
-  :mod:`repro.pram.executor`). Operations with a registered tiled
-  implementation partition their index range over the worker pool and
-  merge with the already-canonicalized reductions; every other
-  operation falls back to its ``"numpy"`` registration, so the
-  ``parallel`` column is always total. Outputs are byte-identical to
-  both other backends by construction.
+  execution engine; aggregate work/span accounting).
+
+Parallel time ``T_p`` is not measured on an engine: it is derived from
+the tracked work and span through Brent's bound
+(:func:`repro.pram.tracker.brent_time_bounds`).
 
 Resolution order for an entry point's ``backend`` argument:
 
-1. an explicit ``backend="tracked"|"numpy"|"parallel"`` wins;
+1. an explicit ``backend="tracked"|"numpy"`` wins;
 2. a process-wide default installed with :func:`set_default_backend` or
    the :func:`use_backend` context manager;
 3. the ``REPRO_KERNEL_BACKEND`` environment variable;
@@ -33,10 +29,8 @@ from typing import Callable, Iterator
 
 __all__ = [
     "BACKENDS",
-    "ARRAY_BACKENDS",
     "TRACKED",
     "NUMPY",
-    "PARALLEL",
     "default_backend",
     "set_default_backend",
     "use_backend",
@@ -49,13 +43,7 @@ __all__ = [
 
 TRACKED = "tracked"
 NUMPY = "numpy"
-PARALLEL = "parallel"
-BACKENDS = (TRACKED, NUMPY, PARALLEL)
-
-#: backends whose kernels operate on whole numpy arrays (aggregate
-#: work/span accounting); entry points use the vectorized fast path for
-#: either of these and the instrumented round structure otherwise
-ARRAY_BACKENDS = (NUMPY, PARALLEL)
+BACKENDS = (TRACKED, NUMPY)
 
 _ENV_VAR = "REPRO_KERNEL_BACKEND"
 
@@ -115,13 +103,12 @@ def resolve_backend(backend: str | None) -> str:
 
 
 def is_array_backend(backend: str | None) -> bool:
-    """True when ``backend`` resolves to a whole-array engine.
+    """True when ``backend`` resolves to the whole-array (numpy) engine.
 
-    Call sites that used to test ``resolve_backend(b) == "numpy"`` use
-    this instead, so the ``parallel`` backend inherits every vectorized
-    fast path without each site enumerating backend names.
+    Entry points take the vectorized fast path when this holds and the
+    instrumented round structure otherwise.
     """
-    return resolve_backend(backend) in ARRAY_BACKENDS
+    return resolve_backend(backend) == NUMPY
 
 
 # ----------------------------------------------------------------------
@@ -141,20 +128,11 @@ def register_kernel(operation: str, backend: str, fn: Callable) -> Callable:
 
 
 def get_kernel(operation: str, backend: str | None = None) -> Callable:
-    """The registered implementation of ``operation`` for ``backend``.
-
-    The ``parallel`` backend falls back to the ``numpy`` registration
-    for operations without a tiled implementation: tiling only pays for
-    kernels whose merge step is a canonical reduction, and the numpy
-    kernel *is* the parallel backend's serial fallback everywhere else
-    (outputs are byte-identical either way).
-    """
+    """The registered implementation of ``operation`` for ``backend``."""
     resolved = resolve_backend(backend)
     try:
         return _REGISTRY[(operation, resolved)]
     except KeyError:
-        if resolved == PARALLEL and (operation, NUMPY) in _REGISTRY:
-            return _REGISTRY[(operation, NUMPY)]
         have = sorted(op for op, b in _REGISTRY if b == resolved)
         raise KeyError(
             f"no {resolved!r} kernel registered for operation {operation!r}; "

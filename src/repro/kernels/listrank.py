@@ -227,7 +227,6 @@ def prefix_sums_on_lists_np(
     value_of: Callable[[int], int],
     method: str = "anderson-miller",
     rng: random.Random | None = None,
-    _wyllie=None,
 ) -> dict[int, int]:
     """Drop-in for :func:`repro.listrank.ranking.prefix_sums_on_lists`.
 
@@ -286,7 +285,5 @@ def prefix_sums_on_lists_np(
     if am_lockstep:
         ranks = anderson_miller_ranks(ids, prev, values, rng, t)
     else:
-        # _wyllie (private) swaps in the tiled pointer-doubling engine;
-        # it must agree with wyllie_ranks bit-for-bit (same rounds)
-        ranks = (_wyllie or wyllie_ranks)(prev, values, t)
+        ranks = wyllie_ranks(prev, values, t)
     return dict(zip(vs, ranks.tolist()))

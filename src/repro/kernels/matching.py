@@ -139,7 +139,6 @@ def maximal_matching_np(
     n: int,
     edges: Sequence[tuple[int, int]],
     rng: random.Random | None = None,
-    _scatter=None,
 ) -> list[int]:
     """Drop-in for :func:`repro.matching.luby.maximal_matching`.
 
@@ -150,11 +149,6 @@ def maximal_matching_np(
     code would consume (in live order), and winners are the per-vertex
     minima in the ``(priority, eid)`` total order — the tracked
     tie-break.  Identical matching, identical ``rng`` state afterwards.
-
-    ``_scatter`` (private) swaps out the per-round rank scatter-min:
-    called as ``_scatter(u, v, rank, fill)`` it must return the same
-    per-vertex rank minima computed inline below — the parallel backend
-    supplies a tiled version merged with ``np.minimum.reduce``.
     """
     rng = rng if rng is not None else random.Random(0xA11CE)
     edge_u, edge_v = _edge_arrays(edges)
@@ -181,12 +175,9 @@ def maximal_matching_np(
             # exactly as the tracked backend does
             rank = np.empty(k, dtype=np.int64)
             rank[np.lexsort((live, prio))] = np.arange(k)  # repro-lint: disable=R005
-            if _scatter is not None:
-                best = _scatter(u, v, rank, k)
-            else:
-                best = np.full(n, k, dtype=np.int64)
-                np.minimum.at(best, u, rank)
-                np.minimum.at(best, v, rank)
+            best = np.full(n, k, dtype=np.int64)
+            np.minimum.at(best, u, rank)
+            np.minimum.at(best, v, rank)
             winners = live[(best[u] == rank) & (best[v] == rank)]
             if winners.size:
                 chosen.append(winners)

@@ -40,7 +40,6 @@ def rebuild_rooted_forest(
     edge_u,
     edge_v,
     t: Tracker | None = None,
-    _wyllie=None,
 ) -> None:
     """Recompute ``parent``/``depth``/``label`` in place for ``members``.
 
@@ -81,9 +80,7 @@ def rebuild_rooted_forest(
     prev = np.empty(a2, dtype=np.int64)
     prev[succ] = np.arange(a2, dtype=np.int64)
     prev[np.unique(rep)] = -1
-    # _wyllie (private) swaps in the tiled pointer-doubling engine; it
-    # must agree with wyllie_ranks bit-for-bit (same rounds, same charge)
-    ranks = (_wyllie or wyllie_ranks)(prev, np.ones(a2, dtype=np.int64), t)
+    ranks = wyllie_ranks(prev, np.ones(a2, dtype=np.int64), t)
     # the earlier arc of each twin pair runs parent -> child
     forward = ranks < ranks[twin]
     fwd = np.flatnonzero(forward)

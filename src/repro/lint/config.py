@@ -50,13 +50,11 @@ RNG_OWNER_FILES: frozenset[str] = frozenset(
 
 #: R001 exemptions: the cost model itself (its loops *are* the charging
 #: machinery), the DFS-tree oracle (verification cost is outside the
-#: theorem's budget by design — it re-walks the tree sequentially), and
-#: the wall-clock executor (measures real time, not tracked cost).
+#: theorem's budget by design — it re-walks the tree sequentially).
 R001_SKIP_FILES: frozenset[str] = frozenset(
     {
         "pram/tracker.py",
         "core/verify.py",
-        "pram/executor.py",
     }
 )
 

@@ -14,8 +14,7 @@ rule's way by design.
 
 A call is flagged when all of the following hold:
 
-* the file is in scope: under ``kernels/`` or ``service/``, or it is
-  ``pram/executor.py`` (the worker pool's dispatch path) — everywhere
+* the file is in scope: under ``kernels/`` or ``service/`` — everywhere
   the zero-overhead-off contract is load-bearing;
 * the call sits inside a loop (``for``/``while``/comprehension) whose
   iterables are not all constant-sized — same sizing logic as R001;
@@ -49,10 +48,6 @@ OBS_METHODS: frozenset[str] = frozenset(
 
 #: R006 scope: the vectorized fast path plus the service loop
 _SCOPE_PACKAGES = ("kernels", "service")
-
-#: individually scoped files (module-relative): the pool dispatch path
-#: is per-round hot even though the rest of ``pram/`` is tracker-side
-_SCOPE_FILES = ("pram/executor.py",)
 
 
 def _is_obs_module(node: ast.ImportFrom) -> bool:
@@ -88,9 +83,7 @@ class ObsInHotLoopRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if not (
-            ctx.in_package(*_SCOPE_PACKAGES) or ctx.rel in _SCOPE_FILES
-        ):
+        if not ctx.in_package(*_SCOPE_PACKAGES):
             return
         aliases = _obs_aliases(ctx.tree)
 

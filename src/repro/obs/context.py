@@ -1,9 +1,9 @@
 """Request-scoped correlation context for the live telemetry plane.
 
 The service tier handles many requests concurrently: they interleave in
-the batch loop, fan out to executor threads, and dispatch kernel tiles
-to worker processes.  To reconstruct *one* request end-to-end, every
-span and flight-recorder event carries the **request id** that was
+the batch loop and fan out to executor threads.  To reconstruct *one*
+request end-to-end, every span and flight-recorder event carries the
+**request id** that was
 current when it was created — a :mod:`contextvars` variable, so the id
 follows asyncio tasks automatically and crosses thread boundaries
 explicitly via :func:`bound_call` (``loop.run_in_executor`` does *not*

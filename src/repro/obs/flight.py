@@ -12,7 +12,7 @@ A :class:`FlightRecorder` couples three bounded pieces:
 * a ring-limited :class:`~repro.obs.tracer.Tracer` (``limit`` spans,
   oldest evicted) holding the recent span history across every thread;
 * an event ring (``deque(maxlen=...)`` of tuples) for point-in-time
-  records — request completions, pool dispatches, protocol errors —
+  records — request completions, protocol errors —
   each stamped with the current
   :func:`~repro.obs.context.current_request_id`;
 * a :class:`~repro.obs.metrics.Metrics` registry snapshot attached to
@@ -28,8 +28,8 @@ cannot fill a disk.  Bundles pass
 
 Like the rest of :mod:`repro.obs`, the recorder is observational only
 and defaults to off: the module-level :data:`NULL_RECORDER` swallows
-everything, so instrumented call sites (the worker pool, the service
-loop) cost one no-op method call when nothing is installed.
+everything, so instrumented call sites (the service loop) cost one
+no-op method call when nothing is installed.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ class FlightRecorder:
 class NullFlightRecorder:
     """Disabled recorder: every operation is a no-op.
 
-    Instrumented sites (worker pool, service loop) call through this
+    Instrumented sites (the service loop) call through this
     when nothing is installed — one method call, no ring, no dumps.
     """
 

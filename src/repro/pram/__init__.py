@@ -1,15 +1,7 @@
-"""PRAM work-depth substrate: cost tracking, primitives, real executors."""
+"""PRAM work-depth substrate: cost tracking, primitives, sorting."""
 
 from .tracker import Cost, Tracker, brent_time, brent_time_bounds, log2_ceil
 from . import primitives
-from .executor import (
-    WorkerPool,
-    default_workers,
-    get_pool,
-    run_parallel,
-    shutdown_pool,
-)
-from .shm import ShmArena, ShmRef, attach_ref, leaked_segments
 from .sorting import parallel_sort, parallel_merge
 
 __all__ = [
@@ -19,15 +11,6 @@ __all__ = [
     "brent_time_bounds",
     "log2_ceil",
     "primitives",
-    "run_parallel",
-    "default_workers",
-    "WorkerPool",
-    "get_pool",
-    "shutdown_pool",
-    "ShmArena",
-    "ShmRef",
-    "attach_ref",
-    "leaked_segments",
     "parallel_sort",
     "parallel_merge",
 ]

@@ -11,11 +11,9 @@ All primitives take the :class:`~repro.pram.tracker.Tracker` first and plain
 Python lists (the PRAM's shared memory).
 
 The array-shaped primitives additionally accept ``backend="tracked"``
-(default — the instrumented round structure below, exact counts),
+(default — the instrumented round structure below, exact counts) or
 ``backend="numpy"`` (the vectorized kernels in :mod:`repro.kernels.scan`,
-aggregate counts), or ``backend="parallel"`` (the tiled multiprocess
-kernels in :mod:`repro.kernels.tiling`, same aggregate counts); return
-types and values are identical across all three.
+aggregate counts); return types and values are identical across both.
 """
 
 from __future__ import annotations
@@ -42,12 +40,7 @@ __all__ = [
 
 
 def _array_kernel(operation: str, backend: str | None):
-    """The registered array-engine kernel, or None on the tracked path.
-
-    Routes through the registry so ``backend="parallel"`` picks up the
-    tiled multiprocess implementation where one exists (and the numpy
-    fallback where not) without this module naming backends.
-    """
+    """The registered numpy kernel, or None on the tracked path."""
     from ..kernels.dispatch import get_kernel, is_array_backend, resolve_backend
 
     kb = resolve_backend(backend)

@@ -3,7 +3,7 @@
 The production-traffic tier of ROADMAP item 3: graphs stay *resident*
 (live edge set + HDT connectivity + cached canonical DFS trees keyed on
 per-component mutation stamps), concurrent queries coalesce into batches
-executed on the numpy/parallel backends via a worker executor, and edge
+executed on the numpy backend via a worker executor, and edge
 insert/delete batches flow through the incremental-maintenance layer of
 :mod:`repro.service.dynamic` — with every response byte-identical to a
 fresh ``parallel_dfs`` on the mutated graph.  See docs/service.md.

@@ -58,7 +58,6 @@ def render_service_openmetrics(service: "DFSService") -> str:
     info = service._server_info()
     flight = info.pop("flight", None)
     doc.gauge("server.uptime_seconds", info["uptime_s"])
-    doc.gauge("server.shm_leaked_segments", info["shm_leaked"])
     doc.info(
         "server.build",
         {

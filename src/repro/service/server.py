@@ -20,10 +20,8 @@ segments.  Within a dfs segment, requests for the same
 ``(graph, root, seed)`` coalesce into one computation, cache probes are
 O(1) against the per-component stamps of
 :mod:`repro.service.dynamic`, and the distinct misses run concurrently
-on a :class:`~concurrent.futures.ThreadPoolExecutor` (the numpy/parallel
-backends release the GIL for the array phases; with
-``kernel_backend="parallel"`` the executor is pinned to one thread
-because the worker pool's pipe protocol is single-dispatcher).
+on a :class:`~concurrent.futures.ThreadPoolExecutor` (the numpy
+backend releases the GIL for the array phases).
 
 Failure containment: a compute error, a malformed request, or a client
 that vanishes mid-batch produces a structured error (or a dropped
@@ -40,7 +38,6 @@ import os
 import platform
 import subprocess
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -49,7 +46,6 @@ from ..obs import runtime as obs
 from ..obs.context import bound_call, request_scope
 from ..obs.flight import FlightRecorder, install_recorder
 from ..obs.metrics import NullMetrics
-from ..pram.shm import leaked_segments
 from . import protocol
 from .protocol import ProtocolError
 from .store import GraphStore, ServiceError
@@ -91,16 +87,15 @@ def git_sha() -> str:
 class ServiceConfig:
     """Tuning knobs for one service instance."""
 
-    #: kernel execution engine for resident graphs ("tracked" | "numpy"
-    #: | "parallel"); numpy is the service default — the measured 5.56x
+    #: kernel execution engine for resident graphs ("tracked" |
+    #: "numpy"); numpy is the service default — the measured 5.56x
     #: end-to-end engine (BENCH_PR6)
     kernel_backend: str = "numpy"
     #: Lemma 5.1 absorption structure (flat pairs with the array engines)
     structure: str = "flat"
     #: max requests drained per batch round
     max_batch: int = 64
-    #: executor threads for dfs computes (None = min(4, cpu));
-    #: forced to 1 under kernel_backend="parallel"
+    #: executor threads for dfs computes (None = min(4, cpu))
     executor_workers: int | None = None
     #: affected-region fraction above which updates rebuild (see
     #: repro.service.dynamic)
@@ -230,13 +225,7 @@ class DFSService:
             raise RuntimeError("service already started")
         workers = self.config.executor_workers
         if workers is None:
-            import os
-
             workers = min(4, os.cpu_count() or 1)
-        if resolve_backend(self.config.kernel_backend) == "parallel":
-            # the worker pool's pipe protocol has one dispatcher; DFS
-            # jobs must not interleave their kernel rounds on it
-            workers = 1
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, workers), thread_name_prefix="repro-dfs"
         )
@@ -274,23 +263,6 @@ class DFSService:
             if self._obs_prev is not None:
                 obs.install(self._obs_prev.tracer, self._obs_prev.metrics)
                 self._obs_prev = None
-        # a worker crash can orphan shared-memory segments; the CPython
-        # resource tracker would sweep them *silently* at interpreter
-        # exit — surface the leak at shutdown instead so it is
-        # attributable to this server's lifetime
-        leaked = leaked_segments()
-        if leaked:
-            if self.recorder is not None:
-                self.recorder.anomaly(
-                    "shm_leak", segments=len(leaked), names=leaked[:8]
-                )
-            warnings.warn(
-                f"service shutdown with {len(leaked)} leaked shared-memory "
-                f"segment(s): {', '.join(leaked[:8])}"
-                + (" ..." if len(leaked) > 8 else ""),
-                ResourceWarning,
-                stacklevel=2,
-            )
 
     # ------------------------------------------------------------------
     # request entry
@@ -509,7 +481,6 @@ class DFSService:
             "structure": self.config.structure,
             "pid": os.getpid(),
             "python": platform.python_version(),
-            "shm_leaked": len(leaked_segments()),
         }
         if self.recorder is not None:
             info["flight"] = self.recorder.stats()

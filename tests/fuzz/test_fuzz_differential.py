@@ -97,6 +97,8 @@ class TestAdversarialFamilies:
         assert [(g.n, g.m) for g in (fuzz_graph("tiny", 9, s) for s in range(3))] == [
             (1, 0), (2, 0), (2, 1),
         ]
+        # k-tree with k = 1 + seed % 3: C(k+1, 2) clique edges, then k per vertex
+        assert [fuzz_graph("ktree", 20, s).m for s in range(3)] == [19, 37, 54]
 
 
 class TestBudgetedRunner:

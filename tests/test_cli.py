@@ -52,6 +52,30 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "4/4 valid DFS trees" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dfs", "--n", "5", "--root", "9"], "repro dfs: root 9 out of range [0, 5)"),
+            (["dfs", "--n", "5", "--root", "-1"], "repro dfs: root -1 out of range [0, 5)"),
+            (["dfs", "--n", "0"], "argument --n: must be >= 1, got 0"),
+            (["dfs", "--n", "-3"], "argument --n: must be >= 1, got -3"),
+            (["selfcheck", "--max-n", "1"], "argument --max-n: must be >= 3, got 1"),
+            (["sweep", "--sizes", "8,abc"], "argument --sizes: invalid int value: 'abc'"),
+            (["sweep", "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
+            (["dfs", "--backend", "parallel"], "argument --backend: invalid choice"),
+        ],
+    )
+    def test_bad_input_exits_2_without_traceback(self, capsys, argv, message):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert message in captured.err.strip().splitlines()[-1]
+
 
 class TestFileIO:
     def test_dfs_from_edge_list_and_save(self, tmp_path, capsys):

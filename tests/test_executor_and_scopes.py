@@ -1,48 +1,6 @@
-"""Tests for the demo thread-pool executor and Tracker.primitive scopes."""
+"""Tests for the Tracker.primitive scopes."""
 
-import threading
-
-from repro.pram import Tracker, default_workers, run_parallel
-
-
-class TestRunParallel:
-    def test_preserves_order(self):
-        assert run_parallel([3, 1, 2], lambda x: x * 10) == [30, 10, 20]
-
-    def test_empty(self):
-        assert run_parallel([], lambda x: x) == []
-
-    def test_small_input_fallback(self):
-        # under the pool threshold the plain loop is used; results identical
-        assert run_parallel([1, 2], lambda x: -x, workers=8) == [-1, -2]
-
-    def test_single_worker(self):
-        assert run_parallel(list(range(10)), lambda x: x + 1, workers=1) == list(
-            range(1, 11)
-        )
-
-    def test_actually_concurrent(self):
-        # two tasks that each wait for the other to start can only finish
-        # if they run concurrently
-        barrier = threading.Barrier(2, timeout=5)
-
-        def task(_):
-            barrier.wait()
-            return True
-
-        assert run_parallel([0, 1, 2, 3], task, workers=2) == [True] * 4
-
-    def test_default_workers_positive(self):
-        assert default_workers() >= 1
-
-    def test_exceptions_propagate(self):
-        import pytest
-
-        def boom(x):
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            run_parallel(list(range(8)), boom, workers=2)
+from repro.pram import Tracker
 
 
 class TestPrimitiveScope:

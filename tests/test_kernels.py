@@ -76,11 +76,26 @@ class TestDispatch:
             assert resolve_backend(None) == "numpy"
         assert resolve_backend(None) == before
 
-    def test_unknown_backend_rejected(self):
+    def test_unknown_backend_rejected(self, monkeypatch):
         with pytest.raises(ValueError):
             resolve_backend("cuda")
         with pytest.raises(ValueError):
             set_default_backend("cuda")
+        # the removed multiprocess engine: every entry point that used to
+        # accept "parallel" now fails with the registered names
+        from repro import parallel_dfs
+        from repro.service import DFSService, ServiceConfig
+
+        msg = r"unknown kernel backend 'parallel'.*registered backends: tracked, numpy$"
+        g = G.gnm_random_connected_graph(20, 40, seed=1)
+        with pytest.raises(ValueError, match=msg):
+            parallel_dfs(g, 0, kernel_backend="parallel")
+        with pytest.raises(ValueError, match=msg):
+            DFSService(ServiceConfig(kernel_backend="parallel"))
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "parallel")
+        set_default_backend(None)
+        with pytest.raises(ValueError, match=msg):
+            parallel_dfs(g, 0)
 
     def test_unknown_backend_error_names_source(self, monkeypatch):
         with pytest.raises(ValueError, match="backend argument"):

@@ -458,25 +458,11 @@ def test_r006_covers_service_package():
     assert rule_ids(res) == ["R006"]
 
 
-def test_r006_covers_pram_executor_file_only():
-    # pram/executor.py (the pool dispatch path) is in scope; the rest
-    # of pram/ (tracker-side bookkeeping) is not
-    src = """
-        def drain(rec, conns):
-            for conn in conns:
-                rec.event("pool.reply")
-    """
-    res = run_rule("pram/executor.py", src, only=["R006"])
-    assert rule_ids(res) == ["R006"]
-    res = run_rule("pram/tracker.py", src, only=["R006"])
-    assert rule_ids(res) == []
-
-
 def test_r006_flags_flight_recorder_verbs():
     src = """
         def watch(rec, replies):
             for r in replies:
-                rec.anomaly("worker_fault", worker=r)
+                rec.anomaly("protocol_error", reply=r)
     """
     res = run_rule("service/example.py", src, only=["R006"])
     assert rule_ids(res) == ["R006"]

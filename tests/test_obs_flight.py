@@ -218,8 +218,8 @@ class TestFlightRecorder:
         rec = make_recorder()
         assert rec.anomaly("slow_request", latency_ms=12.5) is None
         assert rec.anomaly("slow_request") is None
-        assert rec.anomaly("worker_fault") is None
-        assert rec.anomalies == {"slow_request": 2, "worker_fault": 1}
+        assert rec.anomaly("protocol_error") is None
+        assert rec.anomalies == {"slow_request": 2, "protocol_error": 1}
         assert rec.dumps == []
         names = [e["name"] for e in rec.events()]
         assert names.count("anomaly.slow_request") == 2

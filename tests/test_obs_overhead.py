@@ -18,15 +18,10 @@ consistent, large gap that no retry masks.
 import random
 import time
 
-import pytest
-
 from repro.analysis.trace import trace_dfs
 from repro.core.dfs import parallel_dfs
 from repro.graph import generators as G
-from repro.kernels import tiling
 from repro.obs import FlightRecorder, activate, install_recorder
-from repro.pram.executor import get_pool, shutdown_pool
-from repro.pram.shm import leaked_segments
 from repro.pram.tracker import Tracker
 
 N, M, GRAPH_SEED, DFS_SEED = 2000, 4000, 23, 123
@@ -129,43 +124,3 @@ def test_recorder_preserves_lockstep_tree():
     )
     assert recorded.parent == baseline.parent
     assert recorded.depth == baseline.depth
-
-
-# ----------------------------------------------------------------------
-# the parallel (multiprocess) backend: dispatch events per pool call
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture
-def forced_pool():
-    """Threshold 0 + a 2-worker pool: every kernel call dispatches, so
-    the pool-dispatch instrumentation runs as often as it ever can."""
-    tiling.set_parallel_threshold(0)
-    try:
-        yield get_pool(2)
-    finally:
-        tiling.set_parallel_threshold(None)
-        shutdown_pool()
-    assert not leaked_segments(), "shared-memory segments leaked"
-
-
-def test_parallel_backend_recorder_overhead_and_identity(forced_pool):
-    g = G.gnm_random_connected_graph(400, 800, seed=GRAPH_SEED)
-
-    def run():
-        t0 = time.perf_counter()
-        res = parallel_dfs(
-            g, 0, rng=random.Random(DFS_SEED), kernel_backend="parallel"
-        )
-        return time.perf_counter() - t0, res
-
-    run()  # warm the pool off the clock
-    baseline = run()[1]
-    recorded = _recorded(run)[1]
-    assert recorded.parent == baseline.parent
-    assert recorded.depth == baseline.depth
-    _guard(
-        lambda: run()[0],
-        lambda: _recorded(run)[0],
-        "parallel-backend recorder",
-    )

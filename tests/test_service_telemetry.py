@@ -144,7 +144,6 @@ class TestStatsExposition:
         assert srv["kernel_backend"] == "numpy"
         assert srv["structure"] == "flat"
         assert srv["uptime_s"] >= 0
-        assert srv["shm_leaked"] == 0
         assert srv["flight"]["capacity"] == 4096
         assert srv["flight"]["spans"] > 0
 
@@ -169,7 +168,6 @@ class TestStatsExposition:
             f'git_sha="{git_sha()}"' in text
             and "repro_server_build_info" in text
         )
-        assert "repro_server_shm_leaked_segments 0" in text
         assert 'repro_service_latency_ms{quantile="0.99"}' in text
         assert "repro_flight_spans" in text
         # no duplicate unlabelled sample lines anywhere
