@@ -9,6 +9,7 @@ round count barely moving across three orders of magnitude (log* growth).
 
 from __future__ import annotations
 
+import functools
 import random
 
 from conftest import publish
@@ -16,6 +17,9 @@ from conftest import publish
 from repro.analysis import format_table, geometric_sizes
 from repro.matching.coloring import path_mis_deterministic
 from repro.pram import Tracker
+from repro.structures import absorb_ds
+from repro.structures.link_cut import LinkCutForest
+from repro.structures.rc_tree import RCForest
 
 
 def build_path(n):
@@ -44,21 +48,33 @@ def random_path_is(vs, prv, rng):
     return chosen
 
 
+#: the RC path-query mirrors compared end to end, installed in the tracked
+#: Lemma 5.1 structure by rebinding ``absorb_ds.Mirror``
+RC_MIRRORS = {
+    "rc": RCForest,
+    "rc-det": functools.partial(RCForest, compress_mode="deterministic"),
+}
+
+
 def backend_comparison():
     """End-to-end: randomized-coin RC vs deterministic-CV RC under the
-    full DFS (Lemma C.1's composition, on the RC ingredient)."""
+    full tracked DFS (Lemma C.1's composition, on the RC ingredient)."""
     from repro.core.dfs import parallel_dfs
     from repro.graph.generators import gnm_random_connected_graph
 
     out = []
     for n in (256, 1024):
         g = gnm_random_connected_graph(n, 3 * n, seed=0)
-        for backend in ("rc", "rc-det"):
+        for backend, mirror in RC_MIRRORS.items():
             t = Tracker()
-            parallel_dfs(
-                g, 0, tracker=t, rng=random.Random(0), backend=backend,
-                verify=True,
-            )
+            absorb_ds.Mirror = mirror
+            try:
+                parallel_dfs(
+                    g, 0, tracker=t, rng=random.Random(0),
+                    kernel_backend="tracked", verify=True,
+                )
+            finally:
+                absorb_ds.Mirror = LinkCutForest
             out.append((n, backend, t.work, t.span))
     return out
 

@@ -5,18 +5,16 @@ the theorem's two sides — total work Õ(m) (each absorption's work charged
 to the edges it deletes) and depth Õ(√n) — plus the iteration count
 against O(√n log n). Also reports the per-operation split (Lemma 5.1).
 
-The backend-comparison table runs the same absorption under
-``kernel_backend="tracked"`` and ``"numpy"`` and asserts the outputs are
-byte-identical (parent/depth maps, absorbed sets, iteration counts).
-
-Honest scope note (same deviation as E17, measured in its phase
-profile): absorption wall clock under both backends is dominated by the
-shared per-element splay/rake-compress substrate (HDT Euler-tour
-forests, RC mirror), which cannot be vectorized without changing the
-tracked instrument's outputs. The numpy wins here are the bulk
-initialization (Euler tours, nontree counts) and the RC coin rows — asserted identical, reported without a hard
-end-to-end speedup gate; the kernel-level speedups are asserted in E16
-and the E17 subsystem table.
+The backend-comparison table runs the same absorption on the pair the
+driver runs: the tracked engine's
+:class:`~repro.structures.absorb_ds.AbsorptionStructure` (HDT splay
+forests + link-cut mirror, the per-element measurement instrument)
+against the numpy engine's
+:class:`~repro.structures.flat_absorb.FlatAbsorptionStructure` (flat
+arrays, aggregate charges). It asserts the outputs are byte-identical
+(parent/depth maps, absorbed sets, iteration counts) and reports both
+wall clocks without a hard speedup gate; kernel-level speedups are
+asserted in E16 and the E17 subsystem table.
 """
 
 from __future__ import annotations
@@ -31,6 +29,8 @@ from repro.core.absorption import absorb_separator
 from repro.core.separator import build_separator
 from repro.graph.generators import gnm_random_connected_graph
 from repro.pram import Tracker
+from repro.structures.absorb_ds import AbsorptionStructure
+from repro.structures.flat_absorb import FlatAbsorptionStructure
 
 SIZES = geometric_sizes(256, 4096)
 
@@ -83,12 +83,15 @@ def _absorb_once(g, kernel_backend):
 
 
 def run_backend_comparison(sizes=(1000, 4000)):
-    """Tracked vs numpy absorption: identical outputs, wall clock."""
+    """Tracked AbsorptionStructure vs numpy FlatAbsorptionStructure:
+    identical outputs, wall clock."""
     rows = []
     for n in sizes:
         g = gnm_random_connected_graph(n, 3 * n, seed=0)
         w_tr, o_tr, p_tr, d_tr = _absorb_once(g, "tracked")
         w_np, o_np, p_np, d_np = _absorb_once(g, "numpy")
+        assert type(o_tr.structure) is AbsorptionStructure
+        assert type(o_np.structure) is FlatAbsorptionStructure
         assert p_tr == p_np, f"n={n}: parent maps differ across backends"
         assert d_tr == d_np, f"n={n}: depth maps differ across backends"
         assert o_tr.absorbed_local == o_np.absorbed_local
@@ -132,7 +135,7 @@ def render(rows, it_slope):
 
 def render_backends(cmp_rows):
     return format_table(
-        ["n", "m", "iters", "tracked s", "numpy s", "ratio"], cmp_rows
+        ["n", "m", "iters", "tracked s", "numpy flat s", "ratio"], cmp_rows
     )
 
 
@@ -167,7 +170,7 @@ def test_e8_absorption(benchmark):
 
 
 def test_e8_smoke():
-    """Tiny-n CI gate: absorption outputs identical across backends."""
+    """Tiny-n CI gate: the two engines' structures absorb identically."""
     rows = run_backend_comparison(sizes=(400,))
     assert len(rows) == 1  # identity asserts live inside the comparison
 

@@ -26,15 +26,16 @@ Three kinds of cases:
 
 * **Op-sequence cases** (:func:`check_ops_case`) — a random sequence of
   ``set_separator`` / ``unset_separator`` / ``set_tree_neighbor`` /
-  ``batch_delete`` calls applied in lockstep to one Lemma 5.1 structure
-  per (structure backend x kernel backend) pair — the RC-mirrored
-  :class:`~repro.structures.absorb_ds.AbsorptionStructure` and the flat
-  pair (link-cut mirror under tracked, the array-native
+  ``batch_delete`` calls applied in lockstep to each engine's Lemma 5.1
+  structure — the link-cut-mirrored
+  :class:`~repro.structures.absorb_ds.AbsorptionStructure` under tracked
+  and the array-native
   :class:`~repro.structures.flat_absorb.FlatAbsorptionStructure` under
-  numpy) — and to :class:`NaiveAbsorptionModel` (BFS recomputation).
+  numpy — and to :class:`NaiveAbsorptionModel` (BFS recomputation).
   After every step the Lemma 5.1 queries (``find_cc``, ``lowest_node``,
   ``find_path_s2p``), connectivity, and the spanning forest must agree
-  (paths per structure backend; everything else globally). Ops are
+  across engines, and every path must satisfy the Lemma 5.1 contract
+  against the model. Ops are
   *abstract* (indices modulo the alive set), so any integer tuple list
   is a valid case — which is what lets the hypothesis wrappers in
   ``tests/fuzz/`` shrink counterexamples.
@@ -67,7 +68,7 @@ from typing import Sequence
 
 from ..core.dfs import parallel_dfs
 from ..core.verify import explain_dfs_tree, tree_depths
-from ..graph.generators import FAMILIES, make_family
+from ..graph.generators import make_family
 from ..graph.graph import Graph
 from ..pram.tracker import Tracker
 from ..structures.absorb_ds import make_absorption_structure
@@ -178,13 +179,6 @@ def fuzz_graph(family: str, n: int, seed: int) -> Graph:
 #: kernel backends every DFS, op-sequence and service case runs under —
 #: byte-identity is checked against the tracked instrument
 _BACKENDS = ("tracked", "numpy")
-
-#: structure backends the op-sequence cases run in lockstep. Each pair
-#: (structure backend x kernel backend) must agree on every canonical
-#: query; find_path_s2p is compared *within* a structure backend (the RC
-#: and link-cut/flat mirrors answer path queries by different — equally
-#: valid — rules, see docs/kernels.md).
-_STRUCT_BACKENDS = ("rc", "flat")
 
 
 def _int_stats(stats: dict) -> dict:
@@ -372,7 +366,7 @@ def _resolve(op: tuple, model: NaiveAbsorptionModel, g: Graph):
 
 
 def _check_queries(
-    structs: dict[tuple[str, str], object],
+    structs: dict[str, object],
     model: NaiveAbsorptionModel,
     g: Graph,
 ) -> None:
@@ -390,16 +384,12 @@ def _check_queries(
             paths = {
                 key: s.find_path_s2p(q_exp, v) for key, s in structs.items()
             }
-            # byte-identity holds per structure backend: the two kernel
-            # backends of one structure must return the *same* path...
-            for sb in _STRUCT_BACKENDS:
-                group = {k: p for k, p in paths.items() if k[0] == sb}
-                vals = list(group.values())
-                assert all(p == vals[0] for p in vals), (
-                    f"paths diverge within {sb!r}: {group}"
-                )
-            # ...and every backend's path must satisfy the Lemma 5.1
-            # contract (different structures may pick different paths)
+            # byte-identity: both engines return the *same* path...
+            vals = list(paths.values())
+            assert all(p == vals[0] for p in vals), (
+                f"paths diverge across engines: {paths}"
+            )
+            # ...and it must satisfy the Lemma 5.1 contract
             edge_set = {(min(a, b), max(a, b)) for a, b in g.edges}
             for key, p in paths.items():
                 assert p[0] == v and p[-1] in model.q, (
@@ -438,12 +428,10 @@ def _check_queries(
 
 
 def check_ops_case(g: Graph, ops: Sequence[tuple]) -> None:
-    """Apply one abstract op sequence to all backend pairs + the naive
-    model, comparing every Lemma 5.1 query after every step."""
+    """Apply one abstract op sequence to both engines' structures + the
+    naive model, comparing every Lemma 5.1 query after every step."""
     structs = {
-        (sb, kb): make_absorption_structure(g, backend=sb, kernel_backend=kb)
-        for sb in _STRUCT_BACKENDS
-        for kb in _BACKENDS
+        kb: make_absorption_structure(g, kernel_backend=kb) for kb in _BACKENDS
     }
     model = NaiveAbsorptionModel(g)
     _check_queries(structs, model, g)

@@ -43,15 +43,12 @@ def trace_dfs(
     g,
     root: int = 0,
     seed: int = 0,
-    backend: str = "flat",
     kernel_backend: str | None = None,
     clock: Callable[[], float] | None = None,
 ) -> tuple[Any, Tracer, Metrics]:
     """Run ``parallel_dfs`` with tracing active.
 
-    Returns ``(DFSResult, tracer, metrics)``. ``backend`` defaults to
-    the same Lemma 5.1 structure as :func:`~repro.core.dfs.parallel_dfs`
-    so traced and untraced runs stay comparable. ``clock`` is injectable
+    Returns ``(DFSResult, tracer, metrics)``. ``clock`` is injectable
     for deterministic exports in tests.
     """
     from ..core.dfs import parallel_dfs
@@ -69,7 +66,6 @@ def trace_dfs(
             root,
             tracker=t,
             rng=random.Random(seed),
-            backend=backend,
             kernel_backend=kernel_backend,
         )
     return res, trc, mtr

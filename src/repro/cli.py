@@ -40,9 +40,8 @@ from .pram import Tracker, brent_time_bounds
 __all__ = ["main"]
 
 
-#: ``--backend`` values that name a kernel execution engine rather than a
-#: Lemma 5.1 absorption structure (the structure then stays at "flat",
-#: the array-native default that pairs with the array engines)
+#: ``--backend`` values: the kernel execution engine (the Lemma 5.1
+#: structure follows it)
 _KERNEL_BACKENDS = ("tracked", "numpy")
 
 
@@ -86,11 +85,6 @@ def _cmd_dfs(args: argparse.Namespace) -> int:
         print(f"repro dfs: root {args.root} out of range [0, {g.n})",
               file=sys.stderr)
         return 2
-    structure = args.backend
-    kernel_backend = None
-    if args.backend in _KERNEL_BACKENDS:
-        structure = "flat"
-        kernel_backend = args.backend
     t = Tracker()
     trc = mtr = None
     scope = nullcontext()
@@ -98,7 +92,7 @@ def _cmd_dfs(args: argparse.Namespace) -> int:
         from .kernels.dispatch import resolve_backend
         from .obs import Metrics, Tracer, activate
 
-        trc = Tracer(tracker=t, backend=resolve_backend(kernel_backend))
+        trc = Tracer(tracker=t, backend=resolve_backend(args.backend))
         mtr = Metrics()
         scope = activate(trc, mtr)
     with scope:
@@ -107,8 +101,7 @@ def _cmd_dfs(args: argparse.Namespace) -> int:
             args.root,
             tracker=t,
             rng=random.Random(args.seed),
-            backend=structure,
-            kernel_backend=kernel_backend,
+            kernel_backend=args.backend,
             verify=True,
         )
     seq = Tracker()
@@ -338,11 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--backend",
-        choices=("rc", "rc-det", "lct", "flat") + _KERNEL_BACKENDS,
-        default="rc",
-        help="absorption structure (rc/rc-det/lct/flat) or kernel engine "
-             "(tracked/numpy; structure then defaults to flat)",
+        "--backend", choices=_KERNEL_BACKENDS, default=None,
+        help="kernel engine (default: REPRO_KERNEL_BACKEND, else tracked)",
     )
     p.set_defaults(fn=_cmd_dfs)
 

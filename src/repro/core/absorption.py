@@ -7,7 +7,10 @@ initial segment ``T'`` of ``C`` that contains every vertex of ``Q`` — so
 most ``|C|/2`` vertices.
 
 The loop is the proof of Theorem 3.2 verbatim, driven by the Lemma 5.1
-structure (:class:`~repro.structures.absorb_ds.AbsorptionStructure`):
+structure of the execution engine
+(:class:`~repro.structures.absorb_ds.AbsorptionStructure` under tracked,
+:class:`~repro.structures.flat_absorb.FlatAbsorptionStructure` under
+numpy; byte-identical answers):
 
 1. ``FindCC`` — a component of ``C - T'`` still holding separator vertices;
 2. ``LowestNode`` — its vertex ``v`` whose T'-neighbor ``x`` is lowest;
@@ -44,6 +47,7 @@ from ..listrank.ranking import prefix_sums_on_lists
 from ..obs import runtime as obs
 from ..pram.tracker import Tracker, log2_ceil
 from ..structures.absorb_ds import AbsorptionStructure, make_absorption_structure
+from ..structures.flat_absorb import FlatAbsorptionStructure
 
 __all__ = ["AbsorptionOutcome", "absorb_separator"]
 
@@ -56,9 +60,9 @@ class AbsorptionOutcome:
     absorbed_local: set[int]
     #: the Lemma 5.1 structure, still holding lowest-neighbor data for the
     #: remaining components (the driver queries it to place recursion
-    #: roots); an AbsorptionStructure, or a FlatAbsorptionStructure when
-    #: backend="flat" runs under the numpy engine
-    structure: AbsorptionStructure
+    #: roots); an AbsorptionStructure under the tracked engine, a
+    #: FlatAbsorptionStructure under numpy
+    structure: AbsorptionStructure | FlatAbsorptionStructure
     iterations: int = 0
 
 
@@ -85,7 +89,6 @@ def absorb_separator(
     seeds: Iterable[tuple[int, int, int]] = (),
     t: Tracker | None = None,
     rng: random.Random | None = None,
-    backend: str = "rc",
     kernel_backend: str | None = None,
 ) -> AbsorptionOutcome:
     """Theorem 3.2 over the component graph ``g`` (local ids).
@@ -94,10 +97,9 @@ def absorb_separator(
     DFS maps, written through ``to_global`` (identity if None). ``seeds``
     are inherited "(local v, global tree vertex, depth)" adjacency facts.
     The root's own global parent/depth entries must already be set.
-    ``backend`` picks the Lemma 5.1 structure ("rc" | "rc-det" | "lct" |
-    "flat", see :func:`~repro.structures.absorb_ds.
-    make_absorption_structure`); ``kernel_backend`` the execution engine
-    ("tracked" | "numpy", :mod:`repro.kernels.dispatch`).
+    ``kernel_backend`` picks the execution engine ("tracked" | "numpy",
+    :mod:`repro.kernels.dispatch`) and with it the Lemma 5.1 structure
+    (:func:`~repro.structures.absorb_ds.make_absorption_structure`).
     """
     t = t if t is not None else Tracker()
     rng = rng if rng is not None else random.Random(0xAB5)
@@ -105,8 +107,7 @@ def absorb_separator(
         to_global = {v: v for v in range(g.n)}
 
     ds = make_absorption_structure(
-        g, tracker=t, backend=backend, global_of=to_global,
-        kernel_backend=kernel_backend,
+        g, tracker=t, global_of=to_global, kernel_backend=kernel_backend
     )
     pc = PathCollection()
     sep_vertices: list[int] = []

@@ -37,7 +37,20 @@ from .absorption import absorb_separator
 from .separator import build_separator
 from .verify import explain_dfs_tree
 
-__all__ = ["DFSResult", "parallel_dfs"]
+__all__ = ["DFSResult", "check_structure", "parallel_dfs"]
+
+#: the one Lemma 5.1 structure name: the structure follows the engine
+#: (:func:`~repro.structures.absorb_ds.make_absorption_structure`)
+STRUCTURE = "flat"
+
+
+def check_structure(name: str) -> None:
+    """Reject any absorption-structure name other than :data:`STRUCTURE`."""
+    if name != STRUCTURE:
+        raise ValueError(
+            f"unknown absorption structure {name!r}; the only structure "
+            f"is {STRUCTURE!r} (the engine picks its implementation)"
+        )
 
 
 @dataclass
@@ -62,7 +75,7 @@ def parallel_dfs(
     rng: random.Random | None = None,
     small_cutoff: int = 16,
     separator_factor: float = 4.0,
-    backend: str = "flat",
+    backend: str = STRUCTURE,
     neighbor_structure: str = "tournament",
     verify: bool = False,
     kernel_backend: str | None = None,
@@ -72,16 +85,15 @@ def parallel_dfs(
     Õ(m+n) work and Õ(√n) depth in the tracked cost model. The tree spans
     exactly the connected component of ``root``. With ``verify=True`` the
     result is checked against the DFS-tree oracle before returning.
-    ``backend`` picks the Lemma 5.1 absorption structure — the default
-    "flat" pair is the array-native rebuild-per-batch structure under the
-    numpy engine with the link-cut-mirrored tracked structure as lockstep
-    reference; "rc" / "rc-det" / "lct" select the incremental mirrors —
-    and ``kernel_backend`` the execution engine ("tracked", the
+    ``kernel_backend`` picks the execution engine ("tracked", the
     measurement instrument, or "numpy", the vectorized kernels — see
-    docs/kernels.md).
+    docs/kernels.md) and with it the Lemma 5.1 absorption structure: the
+    link-cut-mirrored tracked structure, or its array-native numpy twin.
+    ``backend`` names that structure and accepts only "flat".
     """
     t = tracker if tracker is not None else Tracker()
     rng = rng if rng is not None else random.Random(0xDF5)
+    check_structure(backend)
     if not (0 <= root < g.n):
         raise ValueError(f"root {root} out of range")
     # resolve once at entry so one run never mixes backends even if the
@@ -179,7 +191,6 @@ def parallel_dfs(
                 seeds=seeds_local,
                 t=t,
                 rng=rng,
-                backend=backend,
                 kernel_backend=kb,
             )
         stats["absorb_iterations"] += outcome.iterations

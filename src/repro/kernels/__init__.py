@@ -40,7 +40,6 @@ from . import (
     euler,
     components,
     subgraph,
-    absorb,
     tour_flat,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "euler",
     "components",
     "subgraph",
-    "absorb",
     "tour_flat",
 ]
 
@@ -74,9 +72,6 @@ register_kernel("connected_components", "numpy", components.connected_components
 register_kernel("spanning_forest", "numpy", components.spanning_forest_np)
 register_kernel("component_sizes", "numpy", components.component_sizes_np)
 register_kernel("induced_subgraph", "numpy", subgraph.induced_subgraph_np)
-register_kernel("forest_euler_tours", "numpy", absorb.forest_euler_tours)
-register_kernel("nontree_counts", "numpy", absorb.nontree_counts_np)
-register_kernel("rc_coin_row", "numpy", absorb.rc_coin_row)
 
 # numpy-only operations: batch primitives and alternate kernels with no
 # tracked counterpart of the same signature.  Registered so the registry

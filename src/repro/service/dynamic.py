@@ -1,10 +1,11 @@
 """Incremental DFS-tree maintenance under edge insert/delete batches.
 
 The service keeps graphs *resident*: a :class:`DynamicGraph` holds the
-live edge set, a batch-dynamic HDT connectivity structure
-(:class:`~repro.structures.hdt.HDTConnectivity`, Lemma 6.1) maintained
-under the update stream, and a per-vertex *component stamp* — the
-mutation counter at which the vertex's connected component last changed.
+live edge set, a batch-dynamic HDT connectivity structure over flat
+arrays (:class:`~repro.structures.flat_absorb.FlatForest`, Lemma 6.1)
+maintained under the update stream on every engine, and a per-vertex
+*component stamp* — the mutation counter at which the vertex's connected
+component last changed.
 
 Why component granularity is exactly right
 ------------------------------------------
@@ -32,13 +33,15 @@ the deviation).
 Incremental vs. full recompute
 ------------------------------
 
-Applying a batch via HDT costs amortized O(log² n) per edge plus an
-O(affected region) sweep to re-stamp the touched components.  When the
-affected region (the union of the pre-state components of all batch
-endpoints) exceeds ``rebuild_fraction * n``, that sweep stops paying for
-itself: the layer falls back to a *full recompute* — rebuild the HDT
-from the post-state snapshot with the bulk numpy initializer and stamp
-every vertex (global cache invalidation).  ``rebuild_fraction`` is the
+Applying a batch via HDT costs amortized O(log² n) per deleted edge,
+O(1) per inserted edge plus the size of any component an insert
+relabels, and an O(affected region) sweep to re-stamp the touched
+components.  When the affected region (the union of the pre-state
+components of all batch endpoints) exceeds ``rebuild_fraction * n``,
+that sweep stops paying for itself: the layer falls back to a *full
+recompute* — a fresh ``FlatForest`` over the post-state snapshot (one
+vectorized spanning-forest build) — and stamps every vertex (global
+cache invalidation).  ``rebuild_fraction`` is the
 service's documented threshold knob; E20 measures both paths.
 
 Canonical graph state
@@ -58,7 +61,7 @@ from ..graph.graph import Graph
 from ..kernels.dispatch import resolve_backend
 from ..obs import runtime as obs
 from ..pram.tracker import Tracker
-from ..structures.hdt import HDTConnectivity
+from ..structures.flat_absorb import FlatForest
 from .protocol import MAX_M
 
 __all__ = ["BatchReport", "DynamicGraph"]
@@ -276,7 +279,7 @@ class DynamicGraph:
         dels: list[tuple[int, int]],
         report: BatchReport,
     ) -> None:
-        """Full-recompute path: bulk HDT rebuild + global invalidation."""
+        """Full-recompute path: fresh forest + global invalidation."""
         pairs = (set(self._edge_eid) - set(dels)) | set(ins)
         self._rebuild_hdt(sorted(pairs))
         self.stamp = [self.mutations] * self.n
@@ -288,7 +291,7 @@ class DynamicGraph:
     def _rebuild_hdt(self, pairs: list[tuple[int, int]]) -> None:
         """(Re)build connectivity from a canonical sorted edge list."""
         g = Graph(self.n, pairs)
-        self._hdt = HDTConnectivity(
+        self._hdt = FlatForest(
             g, tracker=Tracker(), kernel_backend=self.kernel_backend
         )
         self._edge_eid = {pair: eid for eid, pair in enumerate(g.edges)}

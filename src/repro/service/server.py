@@ -91,7 +91,8 @@ class ServiceConfig:
     #: "numpy"); numpy is the service default — the measured 5.56x
     #: end-to-end engine (BENCH_PR6)
     kernel_backend: str = "numpy"
-    #: Lemma 5.1 absorption structure (flat pairs with the array engines)
+    #: Lemma 5.1 absorption structure name; only "flat" (the engine picks
+    #: the implementation) — anything else fails at service start
     structure: str = "flat"
     #: max requests drained per batch round
     max_batch: int = 64

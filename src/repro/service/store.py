@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 
-from ..core.dfs import parallel_dfs
+from ..core.dfs import check_structure, parallel_dfs
 from ..graph.generators import FAMILIES, make_family
 from ..kernels.dispatch import resolve_backend
 from . import protocol
@@ -154,6 +154,7 @@ class GraphStore:
         max_graphs: int = 64,
     ) -> None:
         self.kernel_backend = resolve_backend(kernel_backend)
+        check_structure(structure)  # fail at service start, not per dfs
         self.structure = structure
         self.rebuild_fraction = rebuild_fraction
         self.max_cache = max_cache

@@ -27,13 +27,20 @@ Internally this combines, per Section 6.2:
 * the parallelized HDT connectivity forest (:class:`HDTConnectivity`,
   Lemma 6.1) — maintains the maximal spanning forest of ``H`` under
   deletions and reports replacement edges;
-* a *path-query mirror* of the level-0 forest — by default the
-  rake-and-compress tree of [AAB+20] (Lemma 6.2, Section 6.4); the splay
-  link-cut forest is available as an alternative backend
-  (``backend="lct"``) for cross-validation and the backend ablation;
+* a *path-query mirror* of the level-0 forest — the splay link-cut forest
+  (:data:`Mirror`), whose first-flagged-on-path answers are a pure
+  function of (forest, flags), so the numpy engine's rebuilt
+  :class:`~repro.structures.flat_absorb.FlatAbsorptionStructure`
+  reproduces them byte for byte. The rake-and-compress tree of [AAB+20]
+  (Lemma 6.2, Section 6.4) stays a standalone structure; Appendix C's
+  experiments run it here by rebinding :data:`Mirror`;
 * the two augmentations of Section 6.2 — the separator flag (on the mirror,
   powering the FindPathS2P descent) and the lowest-neighbor key (a min
   aggregate on the HDT level-0 Euler tour forest).
+
+:func:`make_absorption_structure` picks the structure by execution engine
+alone: this class under the tracked engine (the lockstep reference),
+the flat array structure under numpy.
 """
 
 from __future__ import annotations
@@ -42,17 +49,21 @@ from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from ..graph.graph import Graph
-from ..kernels.dispatch import (
-    get_kernel,
-    register_kernel,
-    resolve_backend,
-)
+from ..kernels.dispatch import is_array_backend, resolve_backend
 from ..obs.runtime import metrics as _obs_metrics
 from ..pram.tracker import Tracker
 from .hdt import HDTConnectivity
 from .link_cut import LinkCutForest
 
-__all__ = ["AbsorptionStructure", "make_absorption_structure"]
+__all__ = ["AbsorptionStructure", "Mirror", "make_absorption_structure"]
+
+#: the path-query mirror class, built as ``Mirror(n, tracker=t)``. The
+#: link-cut forest's first-flagged-on-path answers are a pure function of
+#: (forest, flags); the RC hierarchy's depend on its cluster-id allocation
+#: history, so no rebuilt representation reproduces them. Rebinding this
+#: (to :class:`~repro.structures.rc_tree.RCForest`) is how the Appendix C
+#: experiments run the rake-and-compress mirror; the driver never does.
+Mirror = LinkCutForest
 
 
 class AbsorptionStructure:
@@ -68,47 +79,16 @@ class AbsorptionStructure:
         self,
         g: Graph,
         tracker: Tracker | None = None,
-        backend: str = "rc",
         global_of: dict[int, int] | None = None,
-        kernel_backend: str | None = None,
     ) -> None:
         self.t = tracker if tracker is not None else Tracker()
         self.g = g
-        self.kernel_backend = resolve_backend(kernel_backend)
         #: optional alias map: when a vertex is deleted (absorbed into T'),
         #: its surviving neighbors record the witness under this name —
         #: lets a recursive caller keep witnesses in a global id space.
         self.global_of = global_of
-        self.hdt = HDTConnectivity(
-            g, tracker=self.t, kernel_backend=self.kernel_backend
-        )
-        if backend in ("lct", "flat"):
-            # "flat" selects the array-native rebuild-per-batch structure
-            # on the numpy backend (see make_absorption_structure); its
-            # tracked lockstep reference is this class with the link-cut
-            # mirror, whose first-flagged-on-path answers are a pure
-            # function of (forest, flags) — unlike the RC hierarchy, whose
-            # paths depend on cluster-id allocation history and therefore
-            # cannot be reproduced by a rebuilt representation.
-            mirror = LinkCutForest(g.n, tracker=self.t)
-        elif backend == "rc":
-            from .rc_tree import RCForest
-
-            mirror = RCForest(
-                g.n, tracker=self.t, kernel_backend=self.kernel_backend
-            )
-        elif backend == "rc-det":
-            # Appendix C (D1): deterministic Cole–Vishkin compress
-            from .rc_tree import RCForest
-
-            mirror = RCForest(
-                g.n, tracker=self.t, compress_mode="deterministic",
-                kernel_backend=self.kernel_backend,
-            )
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
-        self.mirror = mirror
+        self.hdt = HDTConnectivity(g, tracker=self.t)
+        self.mirror = Mirror(g.n, tracker=self.t)
         self.mirror.batch_update([], self.hdt.spanning_forest_edges())
         #: separator vertices still present in H
         self.q_remaining: set[int] = set()
@@ -315,68 +295,21 @@ class AbsorptionStructure:
             assert self.mirror.get_flag(q)
 
 
-# ----------------------------------------------------------------------
-# (operation, backend) dispatch: the Lemma 5.1 structure itself
-# ----------------------------------------------------------------------
-
-def _absorb_structure_tracked(
+def make_absorption_structure(
     g: Graph,
     tracker: Tracker | None = None,
-    backend: str = "rc",
-    global_of: dict[int, int] | None = None,
-    kernel_backend: str | None = None,
-) -> AbsorptionStructure:
-    return AbsorptionStructure(
-        g, tracker=tracker, backend=backend, global_of=global_of,
-        kernel_backend=kernel_backend,
-    )
-
-
-def _absorb_structure_numpy(
-    g: Graph,
-    tracker: Tracker | None = None,
-    backend: str = "rc",
     global_of: dict[int, int] | None = None,
     kernel_backend: str | None = None,
 ):
-    if backend == "flat":
+    """The Lemma 5.1 structure of the execution engine: this module's
+    :class:`AbsorptionStructure` under tracked, and
+    :class:`~repro.structures.flat_absorb.FlatAbsorptionStructure` under
+    numpy. Both return byte-identical answers (differential fuzz gate)."""
+    if is_array_backend(resolve_backend(kernel_backend)):
         from .flat_absorb import FlatAbsorptionStructure
 
         return FlatAbsorptionStructure(
             g, tracker=tracker, global_of=global_of,
             kernel_backend=kernel_backend,
         )
-    # rc/rc-det/lct keep the splay/RC structure under numpy (legacy path:
-    # bulk init, incremental maintenance)
-    return AbsorptionStructure(
-        g, tracker=tracker, backend=backend, global_of=global_of,
-        kernel_backend=kernel_backend,
-    )
-
-
-register_kernel("absorb_structure", "tracked", _absorb_structure_tracked)
-register_kernel("absorb_structure", "numpy", _absorb_structure_numpy)
-
-
-def make_absorption_structure(
-    g: Graph,
-    tracker: Tracker | None = None,
-    backend: str = "rc",
-    global_of: dict[int, int] | None = None,
-    kernel_backend: str | None = None,
-):
-    """The Lemma 5.1 structure for (``backend``, ``kernel_backend``).
-
-    ``backend`` names the *structure*: "rc" / "rc-det" / "lct" pick the
-    mirror of :class:`AbsorptionStructure`; "flat" is the array-native
-    rebuild-per-batch pair — :class:`AbsorptionStructure` with the
-    link-cut mirror under the tracked engine (the lockstep reference) and
-    :class:`~repro.structures.flat_absorb.FlatAbsorptionStructure` under
-    numpy. Both halves of every pair return byte-identical answers
-    (differential fuzz gate)."""
-    kb = resolve_backend(kernel_backend)
-    factory = get_kernel("absorb_structure", kb)
-    return factory(
-        g, tracker=tracker, backend=backend, global_of=global_of,
-        kernel_backend=kb,
-    )
+    return AbsorptionStructure(g, tracker=tracker, global_of=global_of)

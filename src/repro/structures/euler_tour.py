@@ -131,8 +131,8 @@ class EulerTourForest:
                 minv = r.minv
         # canonical argmin: ties on the key resolve to the smallest vertex
         # id, so the winner is a function of the component's *contents*,
-        # never of the current splay shape (a bulk-built backend must
-        # agree with an incrementally-built one, see docs/kernels.md)
+        # never of the current splay shape (the flat array structure must
+        # agree with it, see docs/kernels.md)
         k3 = x.key3 if x.is_vertex else _NO_KEY
         a3 = x.label if (x.is_vertex and x.key3 != _NO_KEY) else -1
         if l is not None and (l.agg3key, l.agg3arg) < (k3, a3):
@@ -391,59 +391,6 @@ class EulerTourForest:
         """Some tagged tree edge (val2 > 0) in v's component, else None."""
         node = self._find_positive(2, v)
         return None if node is None else node.label
-
-    # ------------------------------------------------------------------
-    # bulk construction (numpy fast path; see kernels/absorb.py)
-    # ------------------------------------------------------------------
-    def build_from_tours(
-        self, tours: "list[list]", tag_min_arcs: bool = False
-    ) -> None:
-        """Bulk-build the forest from explicit Euler tour label sequences.
-
-        Each sequence interleaves vertex labels and directed arc labels
-        ``(u, v)`` in valid tour order (every vertex occurrence placed
-        immediately before one of its outgoing arcs, both arcs of every
-        edge present). The balanced trees are built bottom-up in O(total)
-        with no splays. With ``tag_min_arcs`` every ``(u, v)`` arc with
-        ``u < v`` gets ``val2 = 1`` (the "this is a level-i tree edge" tag
-        the HDT layers maintain).
-
-        Only valid on a pristine forest (no arcs yet); per-vertex values
-        (``val1``/``key3``) already set on the singleton nodes are folded
-        into the aggregates.
-        """
-        if self.arcs:
-            raise ValueError("build_from_tours requires an edgeless forest")
-        total = 0
-        for seq in tours:
-            nodes: list[TourNode] = []
-            for lab in seq:
-                if isinstance(lab, tuple):
-                    node = TourNode(lab, False)
-                    if tag_min_arcs and lab[0] < lab[1]:
-                        node.val2 = 1
-                    self.arcs[lab] = node
-                else:
-                    node = self.vnode[lab]
-                nodes.append(node)
-            total += len(nodes)
-            self._build_balanced(nodes, 0, len(nodes), None)
-        # one parallel bottom-up construction round per level of the
-        # balanced trees: O(total) work, O(log) span
-        self.t.charge(total, (max(2, total) - 1).bit_length() + 1)
-
-    def _build_balanced(
-        self, nodes: list[TourNode], lo: int, hi: int, parent: TourNode | None
-    ) -> TourNode | None:
-        if lo >= hi:
-            return None
-        mid = (lo + hi) // 2
-        x = nodes[mid]
-        x.parent = parent
-        x.left = self._build_balanced(nodes, lo, mid, x)
-        x.right = self._build_balanced(nodes, mid + 1, hi, x)
-        self._pull(x)
-        return x
 
     # ------------------------------------------------------------------
     # enumeration (O(size of component); used on the *smaller* side only)

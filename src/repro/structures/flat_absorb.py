@@ -50,14 +50,19 @@ Byte-identical contract (PR 3 canonicalization, gated by the differential
 fuzz harness): min-id ``find_cc``, lex argmin ``lowest_node``,
 (depth, vertex) lex-max witnesses, sorted replacement scans, and the
 first-flagged-on-tree-path ``find_path_s2p`` rule — the same answers as
-``AbsorptionStructure(backend="flat")``, whose tracked mirror is the splay
-link-cut forest (``path_prefix_to_first_flagged``).
+the tracked :class:`~repro.structures.absorb_ds.AbsorptionStructure`,
+whose mirror is the splay link-cut forest (``path_prefix_to_first_flagged``).
+
+:class:`FlatForest` on its own is also the service's resident-graph
+connectivity (:mod:`repro.service.dynamic`): ``batch_insert`` links
+components or files level-0 non-tree edges, and a full rebuild is a
+fresh forest.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -118,8 +123,10 @@ class FlatForest:
         #: per vertex: {neighbor: eid} over the level-0 forest; F_i is
         #: the part whose edges have ``level[eid] >= i``
         self.adj: list[dict[int, int]] = [{} for _ in range(g.n)]
-        #: the graph's incident edge ids per vertex, read through ``alive``
+        #: incident edge ids per vertex, read through ``alive``: the
+        #: graph's lists until the first batch_insert copies them to append
         self._adj_eids = g.adj_eids
+        self._own_incidence = False
         # rooted-forest arrays: parent is maintained surgically (cut =
         # O(1) child reset, link = one path reversal); plev[x] is the
         # level of the edge (x, parent[x]), -1 at roots; label is the
@@ -274,6 +281,15 @@ class FlatForest:
     def component_rep(self, v: int) -> int:
         return int(self.label[v])
 
+    def component_size(self, v: int) -> int:
+        return self._size[int(self.label[v])]
+
+    def component_vertices(self, v: int) -> list[int]:
+        """v's component in ascending order (O(its member array))."""
+        lab = int(self.label[v])
+        arr = self._members[lab]
+        return arr[self.label[arr] == lab].tolist()
+
     def spanning_forest_edges(self) -> list[tuple[int, int]]:
         """Current level-0 forest edges as sorted (u, v) pairs.
 
@@ -286,7 +302,7 @@ class FlatForest:
         return self.alive[eid]
 
     def live_incident(self, v: int) -> list[int]:
-        """Ids of v's live edges: the graph's incidence list filtered by
+        """Ids of v's live edges, inserted ones included, filtered by
         ``alive`` (uncharged; the caller charges what it gathers)."""
         alive = self.alive
         return [e for e in self._adj_eids[v] if alive[e]]  # repro-lint: disable=R001
@@ -324,6 +340,67 @@ class FlatForest:
                 return top // n, x
             heappop(heap)
         return None
+
+    # ------------------------------------------------------------------
+    # insertion
+    # ------------------------------------------------------------------
+    def batch_insert(self, pairs: Sequence[tuple[int, int]]) -> list[int]:
+        """Insert a batch of edges in input order; returns their ids.
+
+        A pair joining two components links them with a level-0 tree edge
+        (the merged component keeps the smaller label); every other pair
+        becomes a level-0 non-tree edge. Both keep the level invariants:
+        F_0 only merges, and a non-tree edge's endpoints are connected in
+        F_0. Work O(k) plus the relabeled components' sizes."""
+        if any(u == v for u, v in pairs):
+            raise ValueError("self-loop")
+        if not self._own_incidence:
+            self._adj_eids = [list(eids) for eids in self._adj_eids]
+            self._own_incidence = True
+        label, nontree0, ntmask = self.label, self.nontree[0], self.ntmask
+        eids: list[int] = []
+        work = len(pairs)
+        for u, v in pairs:  # repro-lint: disable=R001 (charged below)
+            eid = len(self.endpoints)
+            self.endpoints.append((u, v) if u < v else (v, u))
+            self.alive.append(True)
+            self.level.append(0)
+            self._adj_eids[u].append(eid)
+            self._adj_eids[v].append(eid)
+            lu, lv = int(label[u]), int(label[v])
+            self.is_tree.append(lu != lv)
+            if lu == lv:
+                nontree0[u].add(eid)
+                nontree0[v].add(eid)
+                ntmask[u] |= 1
+                ntmask[v] |= 1
+            else:
+                self.adj[u][v] = eid
+                self.adj[v][u] = eid
+                self._link_parents(u, v, 0)
+                work += self._merge_labels(min(lu, lv), max(lu, lv))
+            eids.append(eid)
+        self.t.charge(work, 8)
+        return eids
+
+    def _merge_labels(self, keep: int, gone: int) -> int:
+        """Fold component ``gone`` into ``keep`` (labels, members, sizes,
+        key heaps); returns the number of member slots touched."""
+        label, members = self.label, self._members
+        mk = members[keep]
+        mg = members.pop(gone)
+        mg = mg[label[mg] == gone]
+        label[mg] = keep
+        # union1d dedups: a stale slot of ``keep`` may be a vertex of
+        # ``gone``, which is a member again
+        members[keep] = np.union1d(mk, mg)
+        self._size[keep] += self._size.pop(gone)
+        heap = self._heaps.pop(gone, None)
+        if heap:
+            merged = self._heaps.setdefault(keep, [])
+            merged.extend(heap)
+            heapify(merged)
+        return int(mk.size + mg.size)
 
     # ------------------------------------------------------------------
     # deletion
@@ -784,9 +861,9 @@ class FlatForest:
 
 
 class FlatAbsorptionStructure:
-    """Lemma 5.1 structure over flat arrays — numpy twin of
-    :class:`~repro.structures.absorb_ds.AbsorptionStructure` with
-    ``backend="flat"`` (whose tracked mirror is the link-cut forest).
+    """Lemma 5.1 structure over flat arrays — numpy twin of the tracked
+    :class:`~repro.structures.absorb_ds.AbsorptionStructure` (whose mirror
+    is the link-cut forest).
 
     Same four operations, same canonical answers (min-id ``find_cc``, lex
     argmin ``lowest_node``, first-flagged-on-tree-path ``find_path_s2p``,
@@ -794,8 +871,6 @@ class FlatAbsorptionStructure:
     mirror structure — path queries walk the ``parent`` array of the
     :class:`FlatForest` directly (depth-free alternating LCA walk).
     """
-
-    backend = "flat"
 
     def __init__(
         self,

@@ -31,8 +31,8 @@ substituted per DESIGN.md §2 (R2/D2) — the amortized-work bound, which is
 what Theorem 1.1's work efficiency rests on, is unaffected.
 
 ``batch_delete`` returns the level-0 forest changes (cuts and replacement
-links) so that a mirror structure — the rake-and-compress tree of
-Section 6.2 — can apply them as its own batch update.
+links) so that a path-query mirror (Section 6.2) can apply them as its
+own batch update.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from typing import Sequence
 
 from ..graph.graph import Graph
 from ..graph.connectivity import spanning_forest
-from ..kernels.dispatch import is_array_backend, resolve_backend
 from ..obs import runtime as obs
 from ..pram.tracker import Tracker
 from .euler_tour import EulerTourForest
@@ -76,12 +75,10 @@ class HDTConnectivity:
         self,
         g: Graph,
         tracker: Tracker | None = None,
-        kernel_backend: str | None = None,
     ) -> None:
         self.t = tracker if tracker is not None else Tracker()
         self.n = g.n
         self.L = max(1, (max(2, g.n) - 1).bit_length())
-        self.kernel_backend = resolve_backend(kernel_backend)
         #: endpoints per edge id (ids beyond the initial graph come from
         #: insert_edge)
         self.endpoints: list[tuple[int, int]] = list(g.edges)
@@ -107,10 +104,7 @@ class HDTConnectivity:
         self._h_scan = obs.metrics().histogram("hdt.replacement_scan")
 
         t = self.t
-        _, forest = spanning_forest(g, t, backend=self.kernel_backend)
-        if is_array_backend(self.kernel_backend):
-            self._init_numpy(g, forest)
-            return
+        _, forest = spanning_forest(g, t, backend="tracked")
         in_forest = [False] * g.m
         for eid in forest:
             in_forest[eid] = True
@@ -140,53 +134,6 @@ class HDTConnectivity:
 
         t.parallel_for(range(g.n), set_counts)
 
-    def _init_numpy(self, g: Graph, forest: list[int]) -> None:
-        """Bulk initialization: build the level-0 Euler tours with the
-        vectorized [TV85] construction (``kernels/euler.py``) and balanced
-        bottom-up BSTs instead of ``m`` incremental splay links.
-
-        Produces the same logical state as the tracked path — identical
-        ``is_tree``/``nontree``/``incident``/``val1``/``val2`` contents over
-        the identical spanning forest — differing only in the (semantically
-        inert, since every read is canonicalized) splay tree shapes. Work is
-        charged in aggregate, PR 1 convention.
-        """
-        from ..kernels.absorb import forest_euler_tours, nontree_counts_np
-
-        t = self.t
-        ett0 = self.ett[0]
-        in_forest = [False] * g.m
-        tree_u: list[int] = []
-        tree_v: list[int] = []
-        for eid in forest:
-            in_forest[eid] = True
-            u, v = self.endpoints[eid]
-            self._pair_to_eid[(u, v)] = eid
-            self.is_tree[eid] = True
-            tree_u.append(u)
-            tree_v.append(v)
-        nontree0 = self.nontree[0]
-        nt_u: list[int] = []
-        nt_v: list[int] = []
-        for eid in range(g.m):
-            if in_forest[eid]:
-                continue
-            u, v = self.endpoints[eid]
-            nontree0[u].add(eid)
-            nontree0[v].add(eid)
-            nt_u.append(u)
-            nt_v.append(v)
-        self.incident = [set(eids) for eids in g.adj_eids]
-        counts = nontree_counts_np(g.n, nt_u, nt_v)
-        for v in counts.nonzero()[0]:
-            node = ett0.vnode[v]
-            node.val1 = node.agg1 = int(counts[v])
-        ett0.build_from_tours(
-            forest_euler_tours(g.n, tree_u, tree_v, t), tag_min_arcs=True
-        )
-        lg = (max(2, g.n) - 1).bit_length() + 1
-        t.charge(g.m + g.n, lg)
-
     def _grow(self, i: int) -> EulerTourForest:
         """The level-``i`` forest, materializing levels on first use."""
         while len(self.ett) <= i:
@@ -206,21 +153,11 @@ class HDTConnectivity:
     def component_rep(self, v: int) -> int:
         return self.ett[0].component_rep(v)
 
-    def component_vertices(self, v: int) -> list[int]:
-        """All vertices of v's level-0 component (O(size of component)).
-
-        The service tier's incremental-maintenance layer
-        (:mod:`repro.service.dynamic`) uses this to stamp the affected
-        region of an update batch.
-        """
-        return self.ett[0].component_vertices(v)
-
     def spanning_forest_edges(self) -> list[tuple[int, int]]:
         """Current level-0 forest edges as sorted (u, v) pairs.
 
-        Sorted so downstream consumers (the RC mirror's cluster-id
-        allocation, tests) see a canonical order rather than dict order,
-        which would differ between the incremental and bulk init paths.
+        Sorted so downstream consumers (the mirror's initial batch, tests)
+        see a canonical order rather than dict order.
         """
         return sorted(
             pair for pair in self.ett[0].arcs if pair[0] < pair[1]
@@ -258,85 +195,6 @@ class HDTConnectivity:
             self.ett[0].add_vertex_val1(a, 1)
             self.ett[0].add_vertex_val1(b, 1)
         return eid
-
-    def batch_insert(self, pairs: Sequence[tuple[int, int]]) -> list[int]:
-        """Insert a batch of edges; returns their ids.
-
-        The batch-parallel classification of [AABD19]: gather the component
-        representative of every endpoint, compute a spanning forest of the
-        *component graph* induced by the new edges (our parallel algorithm
-        from footnote 4), link exactly those edges as tree edges, and file
-        the rest as level-0 non-tree edges. O(k log n)-ish work, polylog
-        span per batch.
-        """
-        t = self.t
-        if not pairs:
-            return []
-        reps = t.parallel_for(
-            list(pairs),
-            lambda uv: (
-                self.ett[0].component_rep(uv[0]),
-                self.ett[0].component_rep(uv[1]),
-            ),
-        )
-        rep_ids: dict[int, int] = {}
-        mini_edges: list[tuple[int, int]] = []
-        cross: list[int] = []  # indices of pairs bridging components
-        for i, (ru, rv) in enumerate(reps):
-            t.op(1)
-            if ru == rv:
-                continue
-            a = rep_ids.setdefault(ru, len(rep_ids))
-            b = rep_ids.setdefault(rv, len(rep_ids))
-            mini_edges.append((a, b) if a < b else (b, a))
-            cross.append(i)
-        tree_pair_indices: set[int] = set()
-        if mini_edges:
-            mini = Graph(len(rep_ids), mini_edges, allow_multi=True)
-            # map mini edge ids back to pair indices (dedup keeps firsts)
-            key_to_pair: dict[tuple[int, int], int] = {}
-            for idx, key in zip(cross, mini_edges):
-                t.op(1)
-                key_to_pair.setdefault(key, idx)
-            _, forest = spanning_forest(mini, t)
-            for meid in forest:
-                tree_pair_indices.add(key_to_pair[mini.edges[meid]])
-
-        eids: list[int] = []
-        # tree links first (restores the level-0 connectivity invariant for
-        # the remaining, now intra-component, non-tree edges)
-        for i, (u, v) in enumerate(pairs):
-            t.op(1)
-            if u == v:
-                raise ValueError("self-loop")
-            eid = len(self.endpoints)
-            key = (u, v) if u < v else (v, u)
-            self.endpoints.append(key)
-            self.alive.append(True)
-            self.level.append(0)
-            self.is_tree.append(False)
-            self.incident[u].add(eid)
-            self.incident[v].add(eid)
-            eids.append(eid)
-            if i in tree_pair_indices:
-                self.is_tree[eid] = True
-                self._pair_to_eid[key] = eid
-                self.ett[0].link(key[0], key[1])
-                self.ett[0].set_arc_val2(key[0], key[1], 1)
-
-        def file_nontree(i_eid: tuple[int, int]) -> None:
-            i, eid = i_eid
-            t.op(1)
-            if self.is_tree[eid]:
-                return
-            a, b = self.endpoints[eid]
-            self.nontree[0][a].add(eid)
-            self.nontree[0][b].add(eid)
-            self.ett[0].add_vertex_val1(a, 1)
-            self.ett[0].add_vertex_val1(b, 1)
-
-        t.parallel_for(list(enumerate(eids)), file_nontree)
-        return eids
 
     # ------------------------------------------------------------------
     # deletion
@@ -426,8 +284,8 @@ class HDTConnectivity:
         # search for a replacement from the edge's level downward. Every
         # choice below is *canonical* — a function of the level-i component
         # contents, never of the splay shapes or set iteration orders — so
-        # an incrementally-built structure and the numpy bulk-built one
-        # walk the identical promotion/replacement sequence.
+        # the flat array forest (structures/flat_absorb.py) walks the
+        # identical promotion/replacement sequence.
         for i in range(l, -1, -1):
             su = self.ett[i].component_size(u)
             sv = self.ett[i].component_size(v)

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..kernels.dispatch import is_array_backend
 from ..obs.runtime import metrics as _obs_metrics
 from ..pram.tracker import Tracker
 
@@ -179,7 +178,6 @@ class RCForest:
         tracker: Tracker | None = None,
         seed: int = 0x5C,
         compress_mode: str = "random",
-        kernel_backend: str | None = None,
     ) -> None:
         if compress_mode not in ("random", "deterministic"):
             raise ValueError(f"unknown compress_mode {compress_mode!r}")
@@ -187,12 +185,6 @@ class RCForest:
         self.n = n
         self.t = tracker if tracker is not None else Tracker()
         self.salt = seed
-        #: under the numpy backend, coins for a whole level are hashed in
-        #: one vectorized batch on first use (bit-identical to _coin; the
-        #: hash is fixed per (vertex, level), so caching rows is exact)
-        self._coin_rows: dict[int, object] | None = (
-            {} if is_array_backend(kernel_backend) else None
-        )
         self.clusters: dict[int, Cluster] = {}
         self._next_cid = n  # 0..n-1 reserved for vertex base clusters
         self._flag: list[bool] = [False] * n
@@ -328,28 +320,17 @@ class RCForest:
             (a, e1), (b, e2) = sorted(nbrs.items())
             if lvl.degree(a) >= 2 and lvl.degree(b) >= 2:
                 if self.compress_mode == "random":
+                    salt = self.salt
                     chosen = (
-                        self._coin_val(v, i)
-                        and not self._coin_val(a, i)
-                        and not self._coin_val(b, i)
+                        _coin(v, i, salt)
+                        and not _coin(a, i, salt)
+                        and not _coin(b, i, salt)
                     )
                 else:
                     chosen = self._det_compress(lvl, v)
                 if chosen:
                     return _COMPRESS, [e1, e2], (a, b)
         return _KEEP, [], ()
-
-    def _coin_val(self, v: int, level: int) -> bool:
-        """The (vertex, level) compress coin; vectorized rows under numpy."""
-        rows = self._coin_rows
-        if rows is None:
-            return _coin(v, level, self.salt)
-        row = rows.get(level)
-        if row is None:
-            from ..kernels.absorb import rc_coin_row
-
-            row = rows[level] = rc_coin_row(self.n, level, self.salt)
-        return bool(row[v])
 
     # -- Appendix C (D1): deterministic compress via iterated Cole–Vishkin --
     def _det_eligible(self, lvl: _Level, u: int) -> bool:

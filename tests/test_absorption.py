@@ -11,9 +11,11 @@ from repro.core.separator import build_separator
 from repro.core.verify import is_initial_segment, is_separator
 from repro.graph import generators as G
 from repro.pram import Tracker
+from repro.structures import absorb_ds
+from repro.structures.rc_tree import RCForest
 
 
-def run_absorption(g, root=0, root_depth=0, seed=0, backend="rc"):
+def run_absorption(g, root=0, root_depth=0, seed=0, kernel_backend="tracked"):
     t = Tracker()
     rng = random.Random(seed)
     sep = build_separator(g, t, rng)
@@ -21,35 +23,45 @@ def run_absorption(g, root=0, root_depth=0, seed=0, backend="rc"):
     depth = {root: root_depth}
     out = absorb_separator(
         g, sep.paths, root, root_depth, parent, depth,
-        t=t, rng=rng, backend=backend,
+        t=t, rng=rng, kernel_backend=kernel_backend,
     )
     return sep, out, parent, depth, t
 
 
-BACKENDS = ["rc", "lct"]
+#: "lct" is the tracked engine's structure, "numpy" the numpy engine's
+#: flat twin, "rc" the tracked structure with the rake-and-compress mirror
+#: (the Appendix C hook: rebinding ``absorb_ds.Mirror``)
+BACKENDS = ["rc", "lct", "numpy"]
+
+
+@pytest.fixture
+def engine(backend, monkeypatch):
+    if backend == "rc":
+        monkeypatch.setattr(absorb_ds, "Mirror", RCForest)
+    return "numpy" if backend == "numpy" else "tracked"
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestAbsorption:
-    def test_segment_contains_separator(self, backend):
+    def test_segment_contains_separator(self, engine):
         g = G.gnm_random_connected_graph(80, 240, seed=1)
-        sep, out, parent, depth, _ = run_absorption(g, backend=backend)
+        sep, out, parent, depth, _ = run_absorption(g, kernel_backend=engine)
         assert sep.vertices <= out.absorbed_local
 
-    def test_result_is_initial_segment(self, backend):
+    def test_result_is_initial_segment(self, engine):
         for seed in range(4):
             g = G.gnm_random_connected_graph(60, 150, seed=seed)
-            _, out, parent, depth, _ = run_absorption(g, seed=seed, backend=backend)
+            _, out, parent, depth, _ = run_absorption(g, seed=seed, kernel_backend=engine)
             assert is_initial_segment(g, 0, parent), f"seed={seed}"
 
-    def test_result_is_separator(self, backend):
+    def test_result_is_separator(self, engine):
         g = G.gnm_random_connected_graph(100, 250, seed=3)
-        _, out, parent, _, _ = run_absorption(g, backend=backend)
+        _, out, parent, _, _ = run_absorption(g, kernel_backend=engine)
         assert is_separator(g, out.absorbed_local)
 
-    def test_components_halved(self, backend):
+    def test_components_halved(self, engine):
         g = G.grid_graph(10, 10)
-        _, out, parent, _, _ = run_absorption(g, backend=backend)
+        _, out, parent, _, _ = run_absorption(g, kernel_backend=engine)
         remaining = set(range(g.n)) - out.absorbed_local
         # every remaining component has at most n/2 vertices
         seen = set()
@@ -67,37 +79,37 @@ class TestAbsorption:
             seen |= comp
             assert len(comp) <= g.n / 2
 
-    def test_depths_consistent_with_parents(self, backend):
+    def test_depths_consistent_with_parents(self, engine):
         g = G.gnm_random_connected_graph(70, 200, seed=4)
-        _, out, parent, depth, _ = run_absorption(g, root_depth=5, backend=backend)
+        _, out, parent, depth, _ = run_absorption(g, root_depth=5, kernel_backend=engine)
         for v, p in parent.items():
             if p is None:
                 assert depth[v] == 5
             else:
                 assert depth[v] == depth[p] + 1, (v, p)
 
-    def test_parent_edges_exist(self, backend):
+    def test_parent_edges_exist(self, engine):
         g = G.gnm_random_connected_graph(70, 200, seed=5)
-        _, out, parent, _, _ = run_absorption(g, backend=backend)
+        _, out, parent, _, _ = run_absorption(g, kernel_backend=engine)
         for v, p in parent.items():
             if p is not None:
                 assert g.has_edge(v, p)
 
-    def test_root_on_separator_path(self, backend):
+    def test_root_on_separator_path(self, engine):
         # force the root to sit on a separator path: path graph's separator
         # must contain middle vertices; root at the exact middle
         g = G.path_graph(33)
-        sep, out, parent, _, _ = run_absorption(g, root=16, backend=backend)
+        sep, out, parent, _, _ = run_absorption(g, root=16, kernel_backend=engine)
         assert is_initial_segment(g, 16, parent)
 
-    def test_path_graph_absorption(self, backend):
+    def test_path_graph_absorption(self, engine):
         g = G.path_graph(50)
-        _, out, parent, _, _ = run_absorption(g, backend=backend)
+        _, out, parent, _, _ = run_absorption(g, kernel_backend=engine)
         assert is_initial_segment(g, 0, parent)
 
-    def test_star_graph(self, backend):
+    def test_star_graph(self, engine):
         g = G.star_graph(40)
-        _, out, parent, _, _ = run_absorption(g, backend=backend)
+        _, out, parent, _, _ = run_absorption(g, kernel_backend=engine)
         assert is_initial_segment(g, 0, parent)
 
 

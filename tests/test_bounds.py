@@ -21,14 +21,25 @@ from repro.core.absorption import absorb_separator
 from repro.core.separator import build_separator
 from repro.graph.generators import gnm_random_connected_graph
 from repro.pram import Tracker
+from repro.structures import absorb_ds
 from repro.structures.hdt import HDTConnectivity
+from repro.structures.rc_tree import RCForest
 
 # (n, work, span, iterations) for the E8 absorption workload:
 # gnm(n, 3n, seed=0), separator + absorption with rng seed 0, tracker
-# reset after separator construction.
+# reset after separator construction. E8_PINS run the tracked structure
+# with the rake-and-compress mirror (rebinding ``absorb_ds.Mirror``, the
+# Appendix C hook) they were first measured with; E8_LCT_PINS run the
+# driver's own tracked structure (link-cut mirror). The two differ in
+# iterations because the mirrors may answer FindPathS2P with different
+# valid paths.
 E8_PINS = [
     (256, 166_133, 31_427, 65),
     (512, 393_666, 65_986, 102),
+]
+E8_LCT_PINS = [
+    (256, 108_650, 14_124, 61),
+    (512, 266_762, 25_396, 99),
 ]
 
 # (n, work, max_batch_span) for the E6 HDT workload: gnm(n, 4n, seed=0),
@@ -47,7 +58,21 @@ def _within(got: int, pinned: int) -> bool:
 
 
 @pytest.mark.parametrize("n,work_pin,span_pin,iters_pin", E8_PINS)
-def test_e8_absorption_work_span_pinned(n, work_pin, span_pin, iters_pin):
+def test_e8_absorption_work_span_pinned(
+    n, work_pin, span_pin, iters_pin, monkeypatch
+):
+    monkeypatch.setattr(absorb_ds, "Mirror", RCForest)
+    _check_e8(n, work_pin, span_pin, iters_pin)
+
+
+@pytest.mark.parametrize("n,work_pin,span_pin,iters_pin", E8_LCT_PINS)
+def test_e8_link_cut_absorption_work_span_pinned(
+    n, work_pin, span_pin, iters_pin
+):
+    _check_e8(n, work_pin, span_pin, iters_pin)
+
+
+def _check_e8(n, work_pin, span_pin, iters_pin):
     g = gnm_random_connected_graph(n, 3 * n, seed=0)
     t = Tracker()
     rng = random.Random(0)

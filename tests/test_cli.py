@@ -14,7 +14,7 @@ class TestParser:
         args = build_parser().parse_args(["dfs"])
         assert args.family == "gnm"
         assert args.n == 512
-        assert args.backend == "rc"
+        assert args.backend is None  # REPRO_KERNEL_BACKEND, else tracked
 
     def test_unknown_family_rejected(self):
         with pytest.raises(SystemExit):
@@ -29,10 +29,14 @@ class TestCommands:
         assert "Brent" in out
 
     def test_dfs_all_backends(self, capsys):
-        for backend in ("rc", "rc-det", "lct"):
+        outs = []
+        for backend in ("tracked", "numpy"):
             assert main(
                 ["dfs", "--family", "gnm", "--n", "48", "--backend", backend]
             ) == 0
+            outs.append(capsys.readouterr().out)
+        # the same tree on both engines (work counters may differ)
+        assert outs[0].splitlines()[1] == outs[1].splitlines()[1]
 
     def test_sweep_prints_slopes(self, capsys):
         assert main(
@@ -63,6 +67,7 @@ class TestCommands:
             (["sweep", "--sizes", "8,abc"], "argument --sizes: invalid int value: 'abc'"),
             (["sweep", "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
             (["dfs", "--backend", "parallel"], "argument --backend: invalid choice"),
+            (["dfs", "--backend", "rc"], "argument --backend: invalid choice"),
         ],
     )
     def test_bad_input_exits_2_without_traceback(self, capsys, argv, message):

@@ -478,10 +478,7 @@ class TestWitnessAndPathErrors:
         return [
             FlatAbsorptionStructure(g, tracker=Tracker(),
                                     kernel_backend="numpy"),
-            AbsorptionStructure(g, tracker=Tracker(), backend="flat",
-                                kernel_backend="numpy"),
-            AbsorptionStructure(g, tracker=Tracker(), backend="flat",
-                                kernel_backend="tracked"),
+            AbsorptionStructure(g, tracker=Tracker()),
         ]
 
     @pytest.mark.parametrize("order", [(1, 2), (2, 1)], ids=["12", "21"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.graph import Graph
 from repro.graph import generators as G
 from repro.pram import Tracker
+from repro.structures.flat_absorb import FlatForest
 from repro.structures.hdt import HDTConnectivity
 
 
@@ -263,9 +264,12 @@ class TestAmortizedWork:
 
 
 class TestBatchInsert:
+    """Batch insertion lives on the flat forest (the service's resident
+    connectivity); the splay HDT above keeps single-edge ``insert_edge``."""
+
     def test_batch_reconnects(self):
         g = Graph(6, [])
-        hdt = HDTConnectivity(g)
+        hdt = FlatForest(g)
         hdt.batch_insert([(0, 1), (1, 2), (3, 4)])
         assert hdt.connected(0, 2)
         assert hdt.connected(3, 4)
@@ -274,7 +278,7 @@ class TestBatchInsert:
 
     def test_batch_with_redundant_edges(self):
         g = Graph(4, [])
-        hdt = HDTConnectivity(g)
+        hdt = FlatForest(g)
         eids = hdt.batch_insert([(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)])
         assert hdt.connected(0, 3)
         # exactly 3 tree edges for one 4-vertex component
@@ -283,7 +287,7 @@ class TestBatchInsert:
 
     def test_batch_insert_then_delete_all(self):
         g = Graph(10, [])
-        hdt = HDTConnectivity(g)
+        hdt = FlatForest(g)
         pairs = [(i, j) for i in range(10) for j in range(i + 1, 10) if (i + j) % 3]
         eids = hdt.batch_insert(pairs)
         hdt.check_invariants()
@@ -294,7 +298,7 @@ class TestBatchInsert:
     def test_batch_matches_oracle(self):
         rng = random.Random(77)
         g = Graph(20, [])
-        hdt = HDTConnectivity(g)
+        hdt = FlatForest(g)
         live = []
         for _ in range(6):
             batch = []
@@ -318,12 +322,12 @@ class TestBatchInsert:
         hdt.check_invariants()
 
     def test_batch_self_loop_rejected(self):
-        hdt = HDTConnectivity(Graph(3, []))
+        hdt = FlatForest(Graph(3, []))
         with pytest.raises(ValueError):
             hdt.batch_insert([(1, 1)])
 
     def test_empty_batch(self):
-        hdt = HDTConnectivity(Graph(2, []))
+        hdt = FlatForest(Graph(2, []))
         assert hdt.batch_insert([]) == []
 
 

@@ -24,7 +24,7 @@ from repro.graph.connectivity import (
     largest_component_size,
     spanning_forest,
 )
-from repro.kernels import dispatch, euler, listrank, matching, scan
+from repro.kernels import euler, listrank, matching, scan
 from repro.kernels.dispatch import (
     get_kernel,
     registered_kernels,
@@ -739,86 +739,3 @@ class TestBackendEndToEnd:
         assert all(v >= 0.0 for v in prof.values())
         # plain counters are untouched by the profiler keys
         assert "components_processed" in res.stats
-
-
-# ----------------------------------------------------------------------
-# absorption-subsystem kernels (kernels.absorb)
-# ----------------------------------------------------------------------
-
-class TestAbsorbKernels:
-    def test_rc_coin_row_matches_scalar_coin(self):
-        from repro.kernels.absorb import rc_coin_row
-        from repro.structures.rc_tree import _coin
-
-        for salt in (0, 1, 0xDEADBEEF, (1 << 64) - 1):
-            for level in (0, 1, 5, 63):
-                row = rc_coin_row(257, level, salt)
-                for v in range(257):
-                    assert bool(row[v]) == _coin(v, level, salt), (
-                        v, level, salt,
-                    )
-
-    def test_nontree_counts_matches_manual(self):
-        from repro.kernels.absorb import nontree_counts_np
-
-        nt_u = [0, 0, 3, 5]
-        nt_v = [1, 2, 4, 5]
-        counts = nontree_counts_np(7, nt_u, nt_v)
-        assert counts.tolist() == [2, 1, 1, 1, 1, 2, 0]
-        assert nontree_counts_np(3, [], []).tolist() == [0, 0, 0]
-
-    def test_forest_euler_tours_rebuilds_identical_forest(self):
-        from repro.kernels.absorb import forest_euler_tours
-        from repro.structures.euler_tour import EulerTourForest
-
-        g = G.gnm_random_connected_graph(60, 150, seed=17)
-        rng = random.Random(17)
-        tree = spanning_tree_edges(g, rng)
-        # incremental reference
-        ref = EulerTourForest(g.n)
-        for u, v in tree:
-            ref.link(u, v)
-        # bulk build from the numpy successor cycle
-        bulk = EulerTourForest(g.n)
-        tu = [u for u, _ in tree]
-        tv = [v for _, v in tree]
-        bulk.build_from_tours(
-            forest_euler_tours(g.n, tu, tv), tag_min_arcs=False
-        )
-        bulk.check_invariants()
-        assert set(bulk.arcs) == set(ref.arcs)
-        for v in range(g.n):
-            assert bulk.connected(0, v) == ref.connected(0, v)
-            assert bulk.component_size(v) == ref.component_size(v)
-            assert bulk.component_rep(v) == ref.component_rep(v)
-
-    def test_forest_euler_tours_covers_isolated_vertices(self):
-        from repro.kernels.absorb import forest_euler_tours
-
-        # forest: one edge (1,2) and two isolated vertices 0, 3
-        tours = forest_euler_tours(4, [1], [2])
-        flat_vertices = {
-            x for seq in tours for x in seq if not isinstance(x, tuple)
-        }
-        assert flat_vertices == {1, 2}  # isolated vertices get no tour
-
-    def test_hdt_numpy_init_matches_tracked(self):
-        from repro.structures.hdt import HDTConnectivity
-
-        g = G.gnm_random_connected_graph(80, 240, seed=23)
-        h_tr = HDTConnectivity(g, kernel_backend="tracked")
-        h_np = HDTConnectivity(g, kernel_backend="numpy")
-        assert sorted(h_tr.spanning_forest_edges()) == sorted(
-            h_np.spanning_forest_edges()
-        )
-        h_np.check_invariants()
-        # identical deletion behavior from the identical starting state
-        order = list(range(g.m))
-        random.Random(2).shuffle(order)
-        for i in range(0, g.m, 8):
-            c_tr = h_tr.batch_delete(order[i : i + 8])
-            c_np = h_np.batch_delete(order[i : i + 8])
-            assert [(c.kind, c.u, c.v) for c in c_tr] == [
-                (c.kind, c.u, c.v) for c in c_np
-            ]
-        assert h_tr.spanning_forest_edges() == h_np.spanning_forest_edges()

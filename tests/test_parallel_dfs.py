@@ -71,9 +71,20 @@ class TestCorrectnessAcrossFamilies:
 
 class TestParametrizations:
     def test_lct_backend(self):
+        # the tracked engine's Lemma 5.1 structure is the link-cut-mirrored
+        # one; the numpy engine's flat twin must give the same tree
         g = G.gnm_random_connected_graph(120, 360, seed=8)
-        res = parallel_dfs(g, 0, backend="lct", verify=True)
+        res = parallel_dfs(g, 0, kernel_backend="tracked", verify=True)
         assert is_valid_dfs_tree(g, 0, res.parent)
+        flat = parallel_dfs(g, 0, kernel_backend="numpy")
+        assert (flat.parent, flat.depth) == (res.parent, res.depth)
+
+    @pytest.mark.parametrize("name", ["bogus", "rc", "rc-det", "lct"])
+    def test_unknown_structure_rejected(self, name):
+        # fails at entry, even on a graph the sequential base case covers
+        g = G.gnm_random_connected_graph(10, 15, seed=1)
+        with pytest.raises(ValueError, match="unknown absorption structure"):
+            parallel_dfs(g, 0, backend=name)
 
     def test_small_cutoff_zero_forces_full_machinery(self):
         g = G.gnm_random_connected_graph(60, 150, seed=9)

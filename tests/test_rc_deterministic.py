@@ -1,5 +1,6 @@
 """Tests for the Appendix C (D1) deterministic compress mode of RCForest."""
 
+import functools
 import random
 
 import pytest
@@ -8,7 +9,12 @@ from hypothesis import strategies as st
 
 from repro.graph import generators as G
 from repro.pram import Tracker
+from repro.structures import absorb_ds
 from repro.structures.rc_tree import RCForest, _bit_diff
+
+#: the deterministic RC mirror, installed in the tracked Lemma 5.1
+#: structure by rebinding ``absorb_ds.Mirror`` (the Appendix C hook)
+DET_MIRROR = functools.partial(RCForest, compress_mode="deterministic")
 
 
 def build(n, edges, **kw):
@@ -155,7 +161,7 @@ class TestDeterministicQueries:
         assert f.path_prefix_to_first_flagged(0, 7) == list(range(8))
         f.check_invariants()
 
-    def test_absorption_with_deterministic_backend(self):
+    def test_absorption_with_deterministic_backend(self, monkeypatch):
         from repro.core.absorption import absorb_separator
         from repro.core.separator import build_separator
         from repro.core.verify import is_initial_segment
@@ -166,15 +172,19 @@ class TestDeterministicQueries:
         sep = build_separator(g, t, rng)
         parent = {0: None}
         depth = {0: 0}
-        absorb_separator(
-            g, sep.paths, 0, 0, parent, depth, t=t, rng=rng, backend="rc-det"
+        monkeypatch.setattr(absorb_ds, "Mirror", DET_MIRROR)
+        out = absorb_separator(
+            g, sep.paths, 0, 0, parent, depth, t=t, rng=rng,
+            kernel_backend="tracked",
         )
+        assert out.structure.mirror.compress_mode == "deterministic"
         assert is_initial_segment(g, 0, parent)
 
-    def test_dfs_end_to_end_with_deterministic_rc(self):
+    def test_dfs_end_to_end_with_deterministic_rc(self, monkeypatch):
         from repro import parallel_dfs
         from repro.core.verify import is_valid_dfs_tree
 
         g = G.gnm_random_connected_graph(120, 360, seed=12)
-        res = parallel_dfs(g, 0, backend="rc-det", verify=True)
+        monkeypatch.setattr(absorb_ds, "Mirror", DET_MIRROR)
+        res = parallel_dfs(g, 0, kernel_backend="tracked", verify=True)
         assert is_valid_dfs_tree(g, 0, res.parent)

@@ -329,6 +329,14 @@ class TestGraphStore:
 
 
 class TestServiceHandle:
+    @pytest.mark.parametrize("name", ["bogus", "rc", "lct"])
+    def test_unknown_structure_fails_at_start(self, name):
+        # rejected before any graph loads, not per dfs as compute_error
+        with pytest.raises(ValueError, match="unknown absorption structure"):
+            DFSService(ServiceConfig(structure=name))
+        with pytest.raises(ValueError, match="unknown absorption structure"):
+            GraphStore(structure=name)
+
     def test_ping_load_dfs_lockstep(self):
         async def main():
             n, edges = two_components()

@@ -17,7 +17,7 @@ import random
 from repro.graph.generators import make_family
 from repro.obs import Metrics, Tracer, activate
 from repro.pram.tracker import Tracker
-from repro.service import DFSService, ServiceConfig, ServiceHandle
+from repro.service import ServiceConfig, ServiceHandle
 
 
 def _load_edges(n_each=12, parts=3):

@@ -13,8 +13,6 @@ import asyncio
 import json
 import random
 
-import pytest
-
 from repro.core.dfs import parallel_dfs
 from repro.graph.graph import Graph
 from repro.obs import Metrics, Tracer, activate, validate_trace_events
@@ -219,8 +217,6 @@ class TestStatsExposition:
 
 class TestAnomalies:
     def test_lockstep_violation_fires_anomaly(self, monkeypatch):
-        from repro.service import store as store_mod
-
         config = ServiceConfig(verify_every=1)
 
         async def main():

@@ -20,6 +20,7 @@ from repro.graph import Graph
 from repro.graph import generators as G
 from repro.structures.absorb_ds import AbsorptionStructure
 from repro.structures.euler_tour import EulerTourForest
+from repro.structures.flat_absorb import FlatForest
 from repro.structures.hdt import HDTConnectivity
 from repro.structures.link_cut import LinkCutForest
 from repro.structures.rc_tree import RCForest
@@ -189,6 +190,61 @@ class HDTMachine(RuleBasedStateMachine):
         assert self.impl.connected(u, v) == model.connected(u, v)
 
 
+class FlatForestMachine(RuleBasedStateMachine):
+    """Flat forest with interleaved batch inserts/deletes vs the recompute
+    model: connectivity, representatives, sizes, member lists and the
+    array invariants after every step."""
+
+    #: a cycle and an edge at load time, so the initial build is covered
+    START = [(0, 1), (1, 2), (0, 2), (5, 6)]
+
+    def __init__(self):
+        super().__init__()
+        self.impl = FlatForest(Graph(N, self.START))
+        self.live: dict[int, tuple[int, int]] = dict(enumerate(self.START))
+
+    vertices = st.integers(0, N - 1)
+
+    @rule(pairs=st.lists(st.tuples(vertices, vertices), min_size=1, max_size=5))
+    def insert(self, pairs):
+        present = set(self.live.values())
+        batch = []
+        for u, v in pairs:
+            key = (min(u, v), max(u, v))
+            if u != v and key not in present:
+                present.add(key)
+                batch.append((u, v))
+        for eid, (u, v) in zip(self.impl.batch_insert(batch), batch):
+            self.live[eid] = (min(u, v), max(u, v))
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def delete(self, data):
+        eids = data.draw(
+            st.lists(st.sampled_from(sorted(self.live)), min_size=1,
+                     max_size=4, unique=True)
+        )
+        self.impl.batch_delete(sorted(eids))
+        for eid in eids:
+            del self.live[eid]
+
+    @invariant()
+    def matches_model(self):
+        model = _ForestModel(N)
+        model.edges = set(self.live.values())
+        for v in range(N):
+            comp = sorted(model.component(v))
+            assert self.impl.component_rep(v) == comp[0]
+            assert self.impl.connected(v, comp[-1])
+            assert self.impl.component_size(v) == len(comp)
+            assert self.impl.component_vertices(v) == comp
+        for eid in self.live:
+            u, v = self.live[eid]
+            assert eid in self.impl.live_incident(u)
+            assert eid in self.impl.live_incident(v)
+        self.impl.check_invariants()
+
+
 class AbsorptionMachine(RuleBasedStateMachine):
     """Lemma 5.1 structure vs the naive dict/set model.
 
@@ -325,6 +381,8 @@ TestETTStateful = ETTMachine.TestCase
 TestETTStateful.settings = _settings
 TestHDTStateful = HDTMachine.TestCase
 TestHDTStateful.settings = _settings
+TestFlatForestStateful = FlatForestMachine.TestCase
+TestFlatForestStateful.settings = _settings
 TestTournamentStateful = TournamentMachine.TestCase
 TestTournamentStateful.settings = _settings
 TestAbsorptionStateful = AbsorptionMachine.TestCase

@@ -5,6 +5,7 @@ deep recursion shapes, vertex-ordering adversaries, and mixed dynamic
 workloads on the substrates.
 """
 
+import functools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from repro.core.verify import is_valid_dfs_tree
 from repro.graph import Graph
 from repro.graph import generators as G
 from repro.pram import Tracker
+from repro.structures import absorb_ds
 from repro.structures.absorb_ds import AbsorptionStructure
 from repro.structures.hdt import HDTConnectivity
 from repro.structures.rc_tree import RCForest
@@ -78,23 +80,40 @@ class TestVertexOrderAdversaries:
         parallel_dfs(g, perm[0], verify=True)
 
 
+#: the tracked structure's mirror per case: "lct" is the driver's own,
+#: "rc"/"rc-det" the rake-and-compress mirrors of Appendix C, installed by
+#: rebinding ``absorb_ds.Mirror``; "numpy" runs the numpy engine instead
+_RC_MIRRORS = {
+    "rc": RCForest,
+    "rc-det": functools.partial(RCForest, compress_mode="deterministic"),
+}
+
+
 class TestAllBackendCombos:
-    @pytest.mark.parametrize("backend", ["rc", "rc-det", "lct"])
+    @pytest.mark.parametrize("backend", ["rc", "rc-det", "lct", "numpy"])
     @pytest.mark.parametrize("structure", ["tournament", "naive"])
-    def test_matrix(self, backend, structure):
+    def test_matrix(self, backend, structure, monkeypatch):
+        if backend in _RC_MIRRORS:
+            monkeypatch.setattr(absorb_ds, "Mirror", _RC_MIRRORS[backend])
+        engine = "numpy" if backend == "numpy" else "tracked"
         g = G.gnm_random_connected_graph(90, 260, seed=21)
         res = parallel_dfs(
-            g, 0, backend=backend, neighbor_structure=structure, verify=True
+            g, 0, kernel_backend=engine, neighbor_structure=structure,
+            verify=True,
         )
         assert len(res.parent) == 90
 
     def test_backends_agree_on_validity_many_seeds(self):
         for seed in range(6):
             g = G.gnm_random_connected_graph(50, 140, seed=seed)
-            for backend in ("rc", "lct"):
+            trees = [
                 parallel_dfs(
-                    g, 0, backend=backend, rng=random.Random(seed), verify=True
-                )
+                    g, 0, rng=random.Random(seed), kernel_backend=engine,
+                    verify=True,
+                ).parent
+                for engine in ("tracked", "numpy")
+            ]
+            assert trees[0] == trees[1]
 
 
 class TestSubstrateMixedWorkloads:
