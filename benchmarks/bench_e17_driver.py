@@ -34,10 +34,10 @@ import time
 from conftest import publish
 
 from repro.analysis import format_table
-from repro.analysis.metrics import phase_seconds
 from repro.core.dfs import _induced, parallel_dfs
 from repro.graph.connectivity import connected_components, spanning_forest
 from repro.graph.generators import gnm_random_connected_graph
+from repro.obs.profile import phase_seconds
 from repro.pram import Tracker
 
 SUBSYSTEM_N = 100_000

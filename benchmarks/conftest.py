@@ -17,11 +17,12 @@ gets its wall-clock seconds *and peak RSS* recorded automatically, and
 experiments that
 measure tracked work/span can attach those numbers via ``publish(...,
 data=...)`` (or ``publish_json`` directly). Each entry also records the
-git commit, the engine(s) and absorption structure the bench passed to
-the library (``ran=``; the process default engine when it passed
-none), the worker count, the machine's core count, and the platform
-active when it was written, so a diff across PRs (or machines — T_p
-curves are hardware-bound) always knows what produced the numbers.
+git commit (suffixed ``-dirty`` when tracked source differs from it),
+the engine(s) and absorption structure the bench passed to the library
+(``ran=``; the default engine when it passed none), the worker count,
+the machine's core count, and the platform active when it was written,
+so a diff across PRs (or machines — T_p curves are hardware-bound)
+always knows what produced the numbers.
 Regression tooling diffs this file across PRs instead of parsing the
 text tables, and refuses to compare entries whose engine or structure
 differ.
@@ -44,6 +45,31 @@ BENCH_JSON = os.path.join(RESULTS_DIR, "BENCH_PR8.json")
 _git_sha: str | None = None
 
 
+def _checkout_sha() -> str:
+    """HEAD's short sha, with ``-dirty`` appended when a tracked file
+    outside ``results/`` differs from HEAD — numbers from a modified
+    tree are not HEAD's. ``results/`` is excluded because a bench writes
+    its own table there before the first stamp."""
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", *args],
+            capture_output=True,
+            text=True,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            timeout=10,
+        )
+
+    try:
+        sha = git("rev-parse", "--short=12", "HEAD").stdout.strip()
+        if not sha:
+            return "unknown"
+        diff = git("diff", "--quiet", "HEAD", "--", ":/", ":(exclude)results")
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return sha + "-dirty" if diff.returncode == 1 else sha
+
+
 def _provenance(ran: dict | None) -> dict:
     """Reproducibility stamp: commit, engine, structure, cores, platform.
 
@@ -55,16 +81,7 @@ def _provenance(ran: dict | None) -> dict:
     """
     global _git_sha
     if _git_sha is None:
-        try:
-            _git_sha = subprocess.run(
-                ["git", "rev-parse", "--short=12", "HEAD"],
-                capture_output=True,
-                text=True,
-                cwd=os.path.dirname(__file__),
-                timeout=10,
-            ).stdout.strip() or "unknown"
-        except (OSError, subprocess.SubprocessError):
-            _git_sha = "unknown"
+        _git_sha = _checkout_sha()
     from repro.kernels.dispatch import default_backend
 
     return {

@@ -18,21 +18,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-# The phase profiler moved to the observability layer in PR 5 (it is now
-# implemented on tracer spans); these re-exports keep the historical
-# import path working for the benchmark harness and downstream users.
-from ..obs.profile import (  # noqa: F401 - re-exported API
-    PHASE_STAT_PREFIX,
-    PhaseError,
-    PhaseProfiler,
-    phase_seconds,
-)
-
 __all__ = [
     "Measurement",
-    "PhaseError",
-    "PhaseProfiler",
-    "phase_seconds",
     "loglog_slope",
     "polylog_normalized",
     "geometric_sizes",

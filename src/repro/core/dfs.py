@@ -97,7 +97,7 @@ def parallel_dfs(
     if not (0 <= root < g.n):
         raise ValueError(f"root {root} out of range")
     # resolve once at entry so one run never mixes backends even if the
-    # process default changes mid-flight
+    # environment default changes mid-flight
     kb = resolve_backend(kernel_backend)
     prof = PhaseProfiler()
 

@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from ..graph.graph import Graph
-from ..kernels.dispatch import get_kernel, is_array_backend, resolve_backend
+from ..kernels.dispatch import is_array_backend, resolve_backend
 from ..matching.luby import maximal_matching
 from ..pram.tracker import Tracker, log2_ceil
-from ..structures.adjacency_query import ActiveNeighborStructure  # noqa: F401
+from ..structures.adjacency_query import ActiveNeighborStructure
+from ..structures.flat_neighbors import FlatActiveNeighborStructure
 from ..structures.naive_active import NaiveActiveNeighborStructure
 
 __all__ = ["MergeResult", "LongState", "merge_paths"]
@@ -262,17 +263,16 @@ def merge_paths(
     t.charge(0, log2_ceil(max(2, g.m)))  # dedup via parallel hashing
 
     if neighbor_structure == "tournament":
-        # (operation, backend) dispatch: tournament trees under the
-        # tracked engine, the flat CSR twin under numpy — identical
-        # answers (see structures/flat_neighbors.py)
+        # tournament trees under the tracked engine, the flat CSR twin
+        # under numpy — identical answers (see structures/flat_neighbors.py)
         if gp_csr is not None:
-            from ..structures.flat_neighbors import FlatActiveNeighborStructure
-
             ans = FlatActiveNeighborStructure.from_csr(
                 gp_n, gp_csr[0], gp_csr[1], gp_csr[2], tracker=t
             )
+        elif is_array_backend(kb):
+            ans = FlatActiveNeighborStructure(gp, tracker=t)
         else:
-            ans = get_kernel("neighbor_structure", kb)(gp, tracker=t)
+            ans = ActiveNeighborStructure(gp, tracker=t)
     elif neighbor_structure == "naive":
         ans = NaiveActiveNeighborStructure(gp, tracker=t)
     else:

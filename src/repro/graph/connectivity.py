@@ -18,6 +18,7 @@ there are ``O(log n)`` rounds; each round does ``O(m + n)`` work with
 
 from __future__ import annotations
 
+from ..kernels.dispatch import is_array_backend
 from ..pram.tracker import Tracker, log2_ceil
 from .graph import Graph
 
@@ -119,11 +120,10 @@ def connected_components(
     valid labeling.
     """
     t = t if t is not None else Tracker()
-    from ..kernels.dispatch import get_kernel, is_array_backend, resolve_backend
+    if is_array_backend(backend):
+        from ..kernels.components import connected_components_np
 
-    kb = resolve_backend(backend)
-    if is_array_backend(kb):
-        return get_kernel("connected_components", kb)(g, t)
+        return connected_components_np(g, t)
     labels, _ = _contraction_rounds(g, t, record_edges=False)
     return labels
 
@@ -140,11 +140,10 @@ def spanning_forest(
     order) as the tracked contraction.
     """
     t = t if t is not None else Tracker()
-    from ..kernels.dispatch import get_kernel, is_array_backend, resolve_backend
+    if is_array_backend(backend):
+        from ..kernels.components import spanning_forest_np
 
-    kb = resolve_backend(backend)
-    if is_array_backend(kb):
-        return get_kernel("spanning_forest", kb)(g, t)
+        return spanning_forest_np(g, t)
     return _contraction_rounds(g, t, record_edges=True)
 
 
@@ -153,11 +152,10 @@ def component_sizes(
 ) -> dict[int, int]:
     """Histogram of component labels (parallel count + combine)."""
     t = t if t is not None else Tracker()
-    from ..kernels.dispatch import get_kernel, is_array_backend, resolve_backend
+    if is_array_backend(backend):
+        from ..kernels.components import component_sizes_np
 
-    kb = resolve_backend(backend)
-    if is_array_backend(kb):
-        return get_kernel("component_sizes", kb)(labels, t)
+        return component_sizes_np(labels, t)
     sizes: dict[int, int] = {}
 
     def count(l: int) -> None:

@@ -36,9 +36,7 @@ __all__ = [
 ]
 
 
-# array-level raw kernel behind the registered graph-level operations
-# (connected_components / spanning_forest), not a dispatch surface itself
-def components_arrays(  # repro-lint: disable=R004
+def components_arrays(
     n: int,
     edge_u: np.ndarray,
     edge_v: np.ndarray,

@@ -12,9 +12,9 @@ sorts and gathers (the classic PRAM construction, [TV85]):
   cyclically follows the twin arc ``(v, u)`` in ``v``'s group.
 
 ``euler_tour_successors`` returns that successor permutation (one cycle
-per tree of the forest); ``euler_tour_order`` breaks the root's cycle and
-positions every arc by ranking the successor list with the vectorized
-Wyllie kernel — the same Lemma 2.4 reduction the paper uses.
+per tree of the forest); :mod:`repro.kernels.tour_flat` ranks it with
+the vectorized Wyllie kernel — the same Lemma 2.4 reduction the paper
+uses — to root the forest.
 """
 
 from __future__ import annotations
@@ -22,15 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..pram.tracker import Tracker, log2_ceil
-from .listrank import wyllie_ranks
 
-__all__ = ["euler_tour_successors", "euler_tour_order"]
-
-
-def _arc_arrays(edge_u: np.ndarray, edge_v: np.ndarray):
-    tail = np.concatenate([edge_u, edge_v])
-    head = np.concatenate([edge_v, edge_u])
-    return tail, head
+__all__ = ["euler_tour_successors"]
 
 
 def euler_tour_successors(
@@ -51,7 +44,8 @@ def euler_tour_successors(
     m = int(edge_u.size)
     if m == 0:
         return np.empty(0, dtype=np.int64)
-    tail, head = _arc_arrays(edge_u, edge_v)
+    tail = np.concatenate([edge_u, edge_v])
+    head = np.concatenate([edge_v, edge_u])
     order = np.lexsort((head, tail))  # arcs grouped by tail vertex
     pos = np.empty(2 * m, dtype=np.int64)  # arc -> slot in the grouping
     pos[order] = np.arange(2 * m, dtype=np.int64)
@@ -71,59 +65,3 @@ def euler_tour_successors(
         t.charge(2 * m, log2_ceil(max(2, 2 * m)) + 1)  # sort + gathers
     return succ
 
-
-def euler_tour_order(
-    n: int,
-    edge_u,
-    edge_v,
-    root: int = 0,
-    t: Tracker | None = None,
-) -> np.ndarray:
-    """Arc ids of ``root``'s tree tour, in order, starting at ``root``.
-
-    Breaks the cyclic tour before ``root``'s first outgoing arc and ranks
-    the resulting list with :func:`~repro.kernels.listrank.wyllie_ranks`;
-    arcs of other trees in the forest are not returned.
-    """
-    edge_u = np.asarray(edge_u, dtype=np.int64)
-    edge_v = np.asarray(edge_v, dtype=np.int64)
-    m = int(edge_u.size)
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    succ = euler_tour_successors(n, edge_u, edge_v, t)
-    tail, head = _arc_arrays(edge_u, edge_v)
-    root_arcs = np.flatnonzero(tail == root)
-    if root_arcs.size == 0:
-        return np.empty(0, dtype=np.int64)  # root is isolated
-    start = int(root_arcs[np.argmin(head[root_arcs])])
-    # One tour = one cycle of `succ` per tree. Wyllie needs acyclic lists,
-    # so every cycle gets cut: find each cycle's minimum arc id by
-    # pointer-doubling min-aggregation, then cut before that arc (before
-    # `start` instead on root's cycle, so ranks count from `start`).
-    rep = np.arange(2 * m, dtype=np.int64)
-    jump = succ.copy()
-    for _ in range((2 * m).bit_length() + 1):
-        np.minimum(rep, rep[jump], out=rep)
-        jump = jump[jump]
-    if t is not None:
-        t.charge(
-            2 * m * ((2 * m).bit_length() + 1),
-            ((2 * m).bit_length() + 1) * (log2_ceil(max(2, 2 * m)) + 1),
-        )
-    cuts = np.unique(rep)
-    cuts = np.where(cuts == rep[start], start, cuts)
-    prev = np.empty(2 * m, dtype=np.int64)
-    prev[succ] = np.arange(2 * m, dtype=np.int64)
-    last = int(prev[start])
-    prev[cuts] = -1
-    ranks = wyllie_ranks(prev, np.ones(2 * m, dtype=np.int64), t)
-    # membership in root's tour = the prefix-sum of a seed flag at `start`
-    # is positive (a second Wyllie pass over the same lists)
-    seed = np.zeros(2 * m, dtype=np.int64)
-    seed[start] = 1
-    reach = wyllie_ranks(prev, seed, t)
-    tour_arcs = np.flatnonzero(reach > 0)
-    out = np.empty(tour_arcs.size, dtype=np.int64)
-    out[ranks[tour_arcs] - 1] = tour_arcs
-    assert int(out[0]) == start and int(out[-1]) == last
-    return out

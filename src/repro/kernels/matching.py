@@ -10,20 +10,15 @@ edge set:
 3. an edge joins the matching iff it is the minimum at *both* endpoints;
 4. matched vertices kill their incident edges (one boolean gather).
 
-Two entry points with different randomness contracts:
-
-* :func:`maximal_matching_np` — the drop-in behind
-  ``maximal_matching(..., backend="numpy")``.  It draws its per-round
-  priorities in **lockstep** with the tracked backend (same
-  ``random.Random`` stream, via :mod:`repro.kernels.rng`) and selects
-  winners by the exact ``(priority, eid)`` total order the tracked code
-  tie-breaks with — so for a given ``rng`` state the two backends return
-  the *identical* matching and leave the generator in the identical
-  state.  This is what makes whole-pipeline runs (``parallel_dfs``)
-  byte-identical across backends.
-* :func:`maximal_matching_arrays` / :func:`maximal_matching_graph` —
-  the raw array kernel over a ``numpy.random.Generator``; fastest, but
-  its matchings are not comparable to the tracked backend's.
+:func:`maximal_matching_np` is the drop-in behind
+``maximal_matching(..., backend="numpy")``.  It draws its per-round
+priorities in **lockstep** with the tracked backend (same
+``random.Random`` stream, via :mod:`repro.kernels.rng`) and selects
+winners by the exact ``(priority, eid)`` total order the tracked code
+tie-breaks with — so for a given ``rng`` state the two backends return
+the *identical* matching and leave the generator in the identical
+state.  This is what makes whole-pipeline runs (``parallel_dfs``)
+byte-identical across backends.
 
 A constant fraction of live edges dies per round in expectation, so
 ``O(log m)`` rounds w.h.p. — identical round structure, different engine.
@@ -39,13 +34,9 @@ import numpy as np
 
 from ..obs.runtime import metrics as _obs_metrics
 from ..pram.tracker import Tracker, log2_ceil
-from .rng import LockstepUniform, derived_generator
+from .rng import LockstepUniform
 
-__all__ = [
-    "maximal_matching_arrays",
-    "maximal_matching_np",
-    "maximal_matching_graph",
-]
+__all__ = ["maximal_matching_np"]
 
 
 def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
@@ -64,74 +55,6 @@ def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray]:
     )
     pairs = flat.reshape(m, 2)
     return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
-
-
-# array-level raw kernel, not a graph-level dispatch operation (the
-# registered surface is maximal_matching_np / maximal_matching_graph)
-def maximal_matching_arrays(  # repro-lint: disable=R004
-    t: Tracker | None,
-    n: int,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    gen: np.random.Generator,
-) -> np.ndarray:
-    """Maximal matching over endpoint arrays; returns matched edge ids."""
-    m = int(edge_u.size)
-    matched = np.zeros(n, dtype=bool)
-    live = np.arange(m, dtype=np.int64)
-    chosen: list[np.ndarray] = []
-    logn = log2_ceil(max(2, n)) + 1
-
-    guard = 0
-    max_rounds = 8 * (max(2, m).bit_length() + 2) + 64
-    while live.size:
-        guard += 1
-        if guard > max_rounds:
-            raise RuntimeError("luby matching failed to converge (bug)")
-        k = live.size
-        u = edge_u[live]
-        v = edge_v[live]
-        prio = gen.random(k)
-        best = np.full(n, np.inf)
-        # float scatter-min is safe here: the raw kernel promises only
-        # *a* maximal matching (no cross-backend identity), and a
-        # priority collision is caught and redone on ranks below
-        np.minimum.at(best, u, prio)  # repro-lint: disable=R005
-        np.minimum.at(best, v, prio)  # repro-lint: disable=R005
-        local_min = (best[u] == prio) & (best[v] == prio)
-        winners = live[local_min]
-        if winners.size and np.bincount(
-            np.concatenate([edge_u[winners], edge_v[winners]]), minlength=n
-        ).max() > 1:  # pragma: no cover - needs a float priority collision
-            # a priority tie elected two edges at one vertex; redo the
-            # round with exact ranks in the (priority, eid) total order
-            rank = np.empty(k, dtype=np.int64)
-            # ranks in the (priority, eid) total order: the float only
-            # seeds an exact integer tie-break, so ordering is total
-            rank[np.lexsort((live, prio))] = np.arange(k)  # repro-lint: disable=R005
-            best_r = np.full(n, k, dtype=np.int64)
-            np.minimum.at(best_r, u, rank)
-            np.minimum.at(best_r, v, rank)
-            local_min = (best_r[u] == rank) & (best_r[v] == rank)
-            winners = live[local_min]
-        if winners.size:
-            chosen.append(winners)
-            matched[edge_u[winners]] = True
-            matched[edge_v[winners]] = True
-        live = live[~(matched[u] | matched[v])]
-        if t is not None:
-            # per round: draw + scatter-min + select + filter over k live
-            # edges, each O(1) span + the min-combining tree
-            t.charge(4 * k, 4 + logn + log2_ceil(max(2, k)))
-    if t is not None:
-        t.charge(n, 1)  # matched-flag initialization
-    # recorded after the round loop: obs calls stay out of graph-sized
-    # loops in kernels/ (lint rule R006)
-    _obs_metrics().counter("luby.calls").inc()
-    _obs_metrics().counter("luby.rounds").inc(guard)
-    if not chosen:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chosen)
 
 
 def maximal_matching_np(
@@ -198,19 +121,3 @@ def maximal_matching_np(
         return []
     return np.concatenate(chosen).tolist()
 
-
-def maximal_matching_graph(
-    t: Tracker | None,
-    g,
-    rng: random.Random | None = None,
-) -> list[int]:
-    """Maximal matching of a :class:`~repro.graph.graph.Graph`.
-
-    Reads the endpoint arrays from the graph's cached CSR view
-    (:meth:`Graph.csr`), so repeated matchings on one graph never
-    re-materialize the arrays.
-    """
-    rng = rng if rng is not None else random.Random(0xA11CE)
-    gen = derived_generator(rng)
-    c = g.csr()
-    return maximal_matching_arrays(t, g.n, c.edge_u, c.edge_v, gen).tolist()

@@ -37,7 +37,6 @@ import numpy as np
 __all__ = [
     "randomstate_view",
     "sync_python_rng",
-    "derived_generator",
     "LockstepUniform",
 ]
 
@@ -63,19 +62,6 @@ def sync_python_rng(rng: random.Random, rs: np.random.RandomState) -> None:
     """Advance ``rng`` to ``rs``'s current position (inverse of the view)."""
     _name, keys, pos = rs.get_state()[:3]
     rng.setstate((3, tuple(int(k) for k in keys) + (int(pos),), None))
-
-
-def derived_generator(rng: random.Random) -> np.random.Generator:
-    """A fresh numpy ``Generator`` seeded from ``rng``'s stream.
-
-    For the *raw* (non-lockstep) array kernels: the generator is
-    independent of ``rng`` after construction, but its seed is drawn
-    from the threaded stream, so results remain a pure function of the
-    caller's seed — never of numpy's hidden global state.  This is the
-    sanctioned way to obtain a ``Generator`` outside this module
-    (rule R003 of ``repro.lint``).
-    """
-    return np.random.default_rng(rng.getrandbits(64))
 
 
 class LockstepUniform:

@@ -35,9 +35,7 @@ from ..pram.tracker import Tracker, log2_ceil
 __all__ = ["assemble_graph", "induced_subgraph_np"]
 
 
-# constructor helper for the registered induced_subgraph operation, not
-# a backend-dispatched kernel (it has no tracked counterpart)
-def assemble_graph(n: int, new_u: np.ndarray, new_v: np.ndarray) -> Graph:  # repro-lint: disable=R004
+def assemble_graph(n: int, new_u: np.ndarray, new_v: np.ndarray) -> Graph:
     """A :class:`Graph` from trusted endpoint arrays in final edge-id order.
 
     The caller guarantees ``0 <= new_u, new_v < n``, no self-loops and no

@@ -22,9 +22,9 @@ the full catalogue):
 * **R003 raw-rng** — ``random.*`` / ``np.random.*`` module-level calls
   outside the seeded-RNG owner files (``kernels/rng.py``, the graph
   generators, the fuzz/bench entry points);
-* **R004 unregistered-kernel** — public kernel functions missing from
-  the dispatch registry, and ``core/`` entry points that accept
-  ``kernel_backend`` but fail to forward it to a dispatched callee;
+* **R004 dropped-backend-forwarding** — ``core/``/``structures/`` entry
+  points that accept ``kernel_backend`` but fail to forward it to a
+  callee that takes one;
 * **R005 float-key-compare** — ordering comparisons / min-max keys on
   float expressions in lockstep-critical code;
 * **R006 obs-in-hot-loop** — tracer/metric calls inside potentially

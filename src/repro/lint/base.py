@@ -1,8 +1,8 @@
 """Rule framework and shared AST utilities for repro-lint.
 
 A :class:`Rule` sees every scanned file twice: a *collect* pass (so
-cross-file facts like the kernel dispatch registry can be gathered
-before any check fires) and a *check* pass that yields
+cross-file facts like which callables take ``kernel_backend`` can be
+gathered before any check fires) and a *check* pass that yields
 :class:`Finding` objects.  A :class:`FileContext` packages everything
 a rule needs about one file — parsed tree, parent links, annotation
 subtrees, the module-relative path used for scope decisions — and is

@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant linter for the repro codebase: "
             "cost-tracking (R001), deterministic iteration (R002), "
-            "seeded randomness (R003), kernel dispatch (R004), "
+            "seeded randomness (R003), backend forwarding (R004), "
             "float ordering (R005), and observability placement "
             "(R006). See docs/lint.md."
         ),

@@ -13,7 +13,6 @@ __all__ = [
     "LOCKSTEP_PACKAGES",
     "RNG_OWNER_FILES",
     "R001_SKIP_FILES",
-    "KERNEL_REGISTRY_EXEMPT_FILES",
     "DISPATCH_FORWARDING_PACKAGES",
 ]
 
@@ -58,16 +57,6 @@ R001_SKIP_FILES: frozenset[str] = frozenset(
     }
 )
 
-#: R004(a) exemptions inside ``kernels/``: the registry plumbing and
-#: the rng bridge export helpers, not dispatchable kernels.
-KERNEL_REGISTRY_EXEMPT_FILES: frozenset[str] = frozenset(
-    {
-        "kernels/__init__.py",
-        "kernels/dispatch.py",
-        "kernels/rng.py",
-    }
-)
-
-#: R004(b) scope: packages whose public entry points must forward an
+#: R004 scope: packages whose public entry points must forward an
 #: accepted ``kernel_backend`` to every callee that takes one.
 DISPATCH_FORWARDING_PACKAGES: tuple[str, ...] = ("core", "structures")

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .base import FileContext, Finding, Rule
 from .rules_cost import UntrackedWorkRule
 from .rules_determinism import FloatKeyCompareRule, NondeterministicIterationRule
-from .rules_dispatch import UnregisteredKernelRule
+from .rules_dispatch import BackendForwardingRule
 from .rules_obs import ObsInHotLoopRule
 from .rules_rng import RawRngRule
 from .suppress import parse_suppressions
@@ -30,7 +30,7 @@ ALL_RULES: tuple[type[Rule], ...] = (
     UntrackedWorkRule,
     NondeterministicIterationRule,
     RawRngRule,
-    UnregisteredKernelRule,
+    BackendForwardingRule,
     FloatKeyCompareRule,
     ObsInHotLoopRule,
 )

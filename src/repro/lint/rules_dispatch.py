@@ -1,23 +1,12 @@
-"""R004 unregistered-kernel: the dispatch registry stays the map.
+"""R004 dropped-backend-forwarding: one run never mixes engines.
 
-Two cross-file checks back the kernel subsystem's discoverability and
-backend-dispatch invariants:
+A public entry point in ``core/``/``structures/`` that accepts
+``kernel_backend`` must forward it to every callee that also takes one
+(functions and classes alike).  A dropped forward silently runs half the
+pipeline on the default backend.
 
-* **R004(a)** — every public module-level function in ``kernels/*.py``
-  (minus the registry plumbing itself) must appear in a
-  ``register_kernel(...)`` call somewhere in the tree.  The registry
-  is how tooling enumerates what each backend provides; an
-  unregistered kernel is invisible to ``registered_kernels()`` and to
-  the parity tests that iterate it.
-* **R004(b)** — a public entry point in ``core/``/``structures/``
-  that accepts ``kernel_backend`` must forward it to every callee that
-  also takes one (functions and classes alike).  A dropped forward
-  silently runs half the pipeline on the default backend — the exact
-  bug class the PR 2 threading work eliminated.
-
-Both checks need facts from *other* files (the registrations live in
-``kernels/__init__.py``; callees live anywhere), which is what the
-engine's collect pass is for.
+The check needs facts from *other* files (callees live anywhere), which
+is what the engine's collect pass is for.
 """
 
 from __future__ import annotations
@@ -26,9 +15,9 @@ import ast
 from typing import Iterable
 
 from .base import FileContext, Finding, Rule, dotted_name
-from .config import DISPATCH_FORWARDING_PACKAGES, KERNEL_REGISTRY_EXEMPT_FILES
+from .config import DISPATCH_FORWARDING_PACKAGES
 
-__all__ = ["UnregisteredKernelRule"]
+__all__ = ["BackendForwardingRule"]
 
 _PARAM = "kernel_backend"
 
@@ -38,34 +27,23 @@ def _params_of(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
     return [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
 
 
-class UnregisteredKernelRule(Rule):
+class BackendForwardingRule(Rule):
     id = "R004"
-    name = "unregistered-kernel"
+    name = "dropped-backend-forwarding"
     severity = "error"
     hint = (
-        "register the function with register_kernel(op, backend, fn) in "
-        "kernels/__init__.py, forward kernel_backend= at the call site, "
-        "or suppress with a comment explaining why this callable is not "
-        "part of the dispatch surface"
+        "forward kernel_backend= at the call site, or suppress with a "
+        "comment explaining why the callee may run on the default backend"
     )
 
     def __init__(self) -> None:
-        #: function names referenced as the fn argument of register_kernel
-        self.registered: set[str] = set()
         #: names of functions/classes (via __init__) accepting kernel_backend
         self.takes_backend: set[str] = set()
 
     # ------------------------------------------------------------------
     def collect(self, ctx: FileContext) -> None:
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if name and name.split(".")[-1] == "register_kernel":
-                    if len(node.args) >= 3:
-                        fn = dotted_name(node.args[2])
-                        if fn:
-                            self.registered.add(fn.split(".")[-1])
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if _PARAM in _params_of(node):
                     if node.name == "__init__":
                         owner = ctx.enclosing_function(node)
@@ -77,26 +55,6 @@ class UnregisteredKernelRule(Rule):
 
     # ------------------------------------------------------------------
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        yield from self._check_registry(ctx)
-        yield from self._check_forwarding(ctx)
-
-    def _check_registry(self, ctx: FileContext) -> Iterable[Finding]:
-        if not ctx.in_package("kernels") or ctx.rel in KERNEL_REGISTRY_EXEMPT_FILES:
-            return
-        for node in ctx.tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
-            if node.name not in self.registered:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"public kernel function '{node.name}' is not in the "
-                    "dispatch registry (no register_kernel call names it)",
-                )
-
-    def _check_forwarding(self, ctx: FileContext) -> Iterable[Finding]:
         if not ctx.in_package(*DISPATCH_FORWARDING_PACKAGES):
             return
         for func in ctx.tree.body:
@@ -120,6 +78,6 @@ class UnregisteredKernelRule(Rule):
                     node,
                     f"'{func.name}' accepts {_PARAM} but calls "
                     f"'{callee}' (which takes {_PARAM}) without "
-                    "forwarding it; the callee falls back to the process "
-                    "default backend",
+                    "forwarding it; the callee falls back to the default "
+                    "backend",
                 )

@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Mapping, Sequence
 
+from ..kernels.dispatch import is_array_backend
 from ..pram.tracker import Tracker, log2_ceil
 
 __all__ = [
@@ -255,11 +256,10 @@ def prefix_sums_on_lists(
     ranks. The default ``"tracked"`` backend keeps the instrumented
     implementations below as the work/span measurement instrument.
     """
-    from ..kernels.dispatch import get_kernel, is_array_backend, resolve_backend
+    if is_array_backend(backend):
+        from ..kernels.listrank import prefix_sums_on_lists_np
 
-    kb = resolve_backend(backend)
-    if is_array_backend(kb):
-        return get_kernel("prefix_sums_on_lists", kb)(
+        return prefix_sums_on_lists_np(
             t, vertices, prev_of, value_of, method=method, rng=rng
         )
     if method == "wyllie":

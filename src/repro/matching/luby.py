@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+from ..kernels.dispatch import is_array_backend
 from ..obs.runtime import metrics as _obs_metrics
 from ..pram.tracker import Tracker, log2_ceil
 
@@ -48,11 +49,10 @@ def maximal_matching(
     matching is maximal under either backend but generally differs edge
     for edge (independent random priorities).
     """
-    from ..kernels.dispatch import get_kernel, is_array_backend, resolve_backend
+    if is_array_backend(backend):
+        from ..kernels.matching import maximal_matching_np
 
-    kb = resolve_backend(backend)
-    if is_array_backend(kb):
-        return get_kernel("maximal_matching", kb)(t, n, edges, rng)
+        return maximal_matching_np(t, n, edges, rng)
     rng = rng if rng is not None else random.Random(0xA11CE)
     matched = [False] * n
     t.charge(n, 1)

@@ -1,7 +1,6 @@
-"""PRAM work-depth substrate: cost tracking, primitives, sorting."""
+"""PRAM work-depth substrate: cost tracking, parallel sorting."""
 
 from .tracker import Cost, Tracker, brent_time, brent_time_bounds, log2_ceil
-from . import primitives
 from .sorting import parallel_sort, parallel_merge
 
 __all__ = [
@@ -10,7 +9,6 @@ __all__ = [
     "brent_time",
     "brent_time_bounds",
     "log2_ceil",
-    "primitives",
     "parallel_sort",
     "parallel_merge",
 ]

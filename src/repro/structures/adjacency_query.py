@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..graph.graph import Graph
-from ..kernels.dispatch import register_kernel
 from ..pram.tracker import Tracker
 from .tournament import TournamentTree
 
@@ -119,23 +118,3 @@ class ActiveNeighborStructure:
 
         return t.parallel_for(vertices, one)
 
-
-# ----------------------------------------------------------------------
-# (operation, backend) dispatch: the Lemma 4.5 structure itself.  The
-# tournament answers are a pure function of (adjacency order, active
-# flags), so the flat CSR twin can stand in byte-for-byte under the
-# numpy engine (see structures/flat_neighbors.py).
-# ----------------------------------------------------------------------
-
-def _neighbor_structure_tracked(g: Graph, tracker: Tracker | None = None):
-    return ActiveNeighborStructure(g, tracker=tracker)
-
-
-def _neighbor_structure_numpy(g: Graph, tracker: Tracker | None = None):
-    from .flat_neighbors import FlatActiveNeighborStructure
-
-    return FlatActiveNeighborStructure(g, tracker=tracker)
-
-
-register_kernel("neighbor_structure", "tracked", _neighbor_structure_tracked)
-register_kernel("neighbor_structure", "numpy", _neighbor_structure_numpy)

@@ -2,7 +2,7 @@
 
 The numpy backend is an execution engine, not a new algorithm — each
 kernel must return exactly what the tracked implementation returns
-(scans, ranks) or an equally valid result under the problem's own oracle
+(labels, ranks) or an equally valid result under the problem's own oracle
 (matchings, which draw different random priorities). These tests run
 random lists/graphs plus the degenerate shapes (empty, singleton,
 all-isolated-vertex) through both backends, and check the dispatch layer
@@ -24,14 +24,8 @@ from repro.graph.connectivity import (
     largest_component_size,
     spanning_forest,
 )
-from repro.kernels import euler, listrank, matching, scan
-from repro.kernels.dispatch import (
-    get_kernel,
-    registered_kernels,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
+from repro.kernels import euler, listrank
+from repro.kernels.dispatch import resolve_backend
 from repro.kernels import rng as rng_mod
 from repro.kernels.rng import LockstepUniform, randomstate_view, sync_python_rng
 from repro.kernels.subgraph import induced_subgraph_np
@@ -40,7 +34,7 @@ from repro.listrank.ranking import (
     sequential_prefix_sums,
 )
 from repro.matching.luby import is_maximal_matching, maximal_matching
-from repro.pram import Tracker, primitives
+from repro.pram import Tracker
 
 
 # ----------------------------------------------------------------------
@@ -50,7 +44,6 @@ from repro.pram import Tracker, primitives
 class TestDispatch:
     def test_default_is_tracked(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-        set_default_backend(None)
         assert resolve_backend(None) == "tracked"
 
     def test_explicit_wins(self):
@@ -59,28 +52,11 @@ class TestDispatch:
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        set_default_backend(None)
         assert resolve_backend(None) == "numpy"
-
-    def test_process_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
-        set_default_backend("tracked")
-        try:
-            assert resolve_backend(None) == "tracked"
-        finally:
-            set_default_backend(None)
-
-    def test_use_backend_scopes_and_restores(self):
-        before = resolve_backend(None)
-        with use_backend("numpy"):
-            assert resolve_backend(None) == "numpy"
-        assert resolve_backend(None) == before
 
     def test_unknown_backend_rejected(self, monkeypatch):
         with pytest.raises(ValueError):
             resolve_backend("cuda")
-        with pytest.raises(ValueError):
-            set_default_backend("cuda")
         # the removed multiprocess engine: every entry point that used to
         # accept "parallel" now fails with the registered names
         from repro import parallel_dfs
@@ -93,7 +69,6 @@ class TestDispatch:
         with pytest.raises(ValueError, match=msg):
             DFSService(ServiceConfig(kernel_backend="parallel"))
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "parallel")
-        set_default_backend(None)
         with pytest.raises(ValueError, match=msg):
             parallel_dfs(g, 0)
 
@@ -101,97 +76,18 @@ class TestDispatch:
         with pytest.raises(ValueError, match="backend argument"):
             resolve_backend("cuda")
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cuda")
-        set_default_backend(None)
         with pytest.raises(ValueError, match="REPRO_KERNEL_BACKEND"):
             resolve_backend(None)
 
-    def test_registry_lists_both_backends(self):
-        pairs = registered_kernels()
-        for op in ("connected_components", "spanning_forest",
-                   "component_sizes", "prefix_sums_on_lists",
-                   "maximal_matching"):
-            assert (op, "numpy") in pairs and (op, "tracked") in pairs
-        assert ("induced_subgraph", "numpy") in pairs
-        assert callable(get_kernel("connected_components", "numpy"))
-        with pytest.raises(KeyError):
-            get_kernel("quantum_sort", "numpy")
-
     def test_entry_points_pick_requested_backend(self):
-        # the numpy scan kernel returns identical values but charges
+        # the numpy contraction returns identical labels but charges
         # different (aggregate) costs — distinguish the backends by cost
-        xs = list(range(64))
+        g = G.gnm_random_graph(64, 80, seed=2)
         t_tracked, t_numpy = Tracker(), Tracker()
-        a = primitives.exclusive_scan(t_tracked, xs, backend="tracked")
-        b = primitives.exclusive_scan(t_numpy, xs, backend="numpy")
+        a = connected_components(g, t_tracked, backend="tracked")
+        b = connected_components(g, t_numpy, backend="numpy")
         assert a == b
         assert t_tracked.work != t_numpy.work  # different engines ran
-
-
-# ----------------------------------------------------------------------
-# scan / reduce / pack
-# ----------------------------------------------------------------------
-
-class TestScanParity:
-    @given(st.lists(st.integers(-1000, 1000), max_size=200))
-    @settings(max_examples=60, deadline=None)
-    def test_scans_match_tracked(self, xs):
-        t1, t2 = Tracker(), Tracker()
-        assert (
-            primitives.exclusive_scan(t1, xs)
-            == primitives.exclusive_scan(t2, xs, backend="numpy")
-        )
-        assert (
-            primitives.inclusive_scan(t1, xs)
-            == primitives.inclusive_scan(t2, xs, backend="numpy")
-        )
-        assert primitives.reduce_sum(t1, xs) == primitives.reduce_sum(
-            t2, xs, backend="numpy"
-        )
-
-    @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=200))
-    @settings(max_examples=40, deadline=None)
-    def test_min_max_match_tracked(self, xs):
-        t = Tracker()
-        assert primitives.reduce_max(t, xs, backend="numpy") == max(xs)
-        assert primitives.reduce_min(t, xs, backend="numpy") == min(xs)
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(-50, 50), st.booleans()), max_size=200
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_pack_matches_tracked(self, pairs):
-        xs = [x for x, _ in pairs]
-        flags = [f for _, f in pairs]
-        t1, t2 = Tracker(), Tracker()
-        assert primitives.pack(t1, xs, flags) == primitives.pack(
-            t2, xs, flags, backend="numpy"
-        )
-        assert primitives.pack_index(t1, flags) == primitives.pack_index(
-            t2, flags, backend="numpy"
-        )
-
-    def test_pack_preserves_element_identity(self):
-        # tuples must come back as tuples, not numpy rows
-        xs = [(1, 2), (3, 4), (5, 6)]
-        out = primitives.pack(Tracker(), xs, [True, False, True], backend="numpy")
-        assert out == [(1, 2), (5, 6)]
-        assert all(isinstance(e, tuple) for e in out)
-
-    def test_empty_and_singleton(self):
-        t = Tracker()
-        assert scan.exclusive_scan(t, []).tolist() == []
-        assert scan.inclusive_scan(t, []).tolist() == []
-        assert scan.exclusive_scan(t, [7]).tolist() == [0]
-        assert scan.reduce_sum(t, []) == 0
-        assert scan.pack(t, [], []).tolist() == []
-        with pytest.raises(ValueError):
-            scan.reduce_max(t, [])
-        with pytest.raises(ValueError):
-            primitives.reduce_min(t, [], backend="numpy")
-        with pytest.raises(ValueError):
-            scan.pack(t, [1, 2], [True])
 
 
 # ----------------------------------------------------------------------
@@ -306,15 +202,6 @@ class TestMatchingParity:
         )
         assert a == b
 
-    def test_graph_helper_uses_cached_csr(self):
-        g = G.gnm_random_connected_graph(30, 60, seed=4)
-        c1 = g.csr()
-        chosen = matching.maximal_matching_graph(
-            Tracker(), g, random.Random(0)
-        )
-        assert is_maximal_matching(g.n, g.edges, chosen)
-        assert g.csr() is c1  # no rebuild
-
 
 # ----------------------------------------------------------------------
 # Euler tour construction
@@ -386,41 +273,9 @@ class TestEulerTour:
                 a = int(succ[a])
         assert cycles == 2
 
-    @given(st.integers(2, 40), st.integers(0, 2**31))
-    @settings(max_examples=30, deadline=None)
-    def test_tour_order_is_a_valid_euler_tour(self, n, seed):
-        rng = random.Random(seed)
-        g = G.gnm_random_connected_graph(
-            n, min(2 * n, n * (n - 1) // 2), seed=seed
-        )
-        edges = spanning_tree_edges(g, rng)
-        eu = np.array([e[0] for e in edges], dtype=np.int64)
-        ev = np.array([e[1] for e in edges], dtype=np.int64)
-        root = rng.randrange(n)
-        order = euler.euler_tour_order(g.n, eu, ev, root=root)
-        m = len(edges)
-        assert order.shape == (2 * m,)
-        tail = np.concatenate([eu, ev])
-        head = np.concatenate([ev, eu])
-        # starts and ends at the root, chains, and uses every arc once
-        assert tail[order[0]] == root and head[order[-1]] == root
-        for a, b in zip(order, order[1:]):
-            assert head[a] == tail[b]
-        assert sorted(order.tolist()) == list(range(2 * m))
-
-    def test_tour_order_forest_restricts_to_roots_tree(self):
-        eu = np.array([0, 1, 3], dtype=np.int64)
-        ev = np.array([1, 2, 4], dtype=np.int64)
-        assert euler.euler_tour_order(5, eu, ev, root=0).size == 4
-        assert euler.euler_tour_order(5, eu, ev, root=3).size == 2
-
     def test_empty_and_isolated_root(self):
         empty = np.empty(0, dtype=np.int64)
         assert euler.euler_tour_successors(3, empty, empty).size == 0
-        assert euler.euler_tour_order(3, empty, empty, root=1).size == 0
-        eu = np.array([0], dtype=np.int64)
-        ev = np.array([1], dtype=np.int64)
-        assert euler.euler_tour_order(3, eu, ev, root=2).size == 0
 
 
 # ----------------------------------------------------------------------
@@ -730,7 +585,7 @@ class TestBackendEndToEnd:
 
     def test_phase_profile_recorded_in_stats(self):
         from repro import parallel_dfs
-        from repro.analysis.metrics import phase_seconds
+        from repro.obs.profile import phase_seconds
 
         g = G.gnm_random_connected_graph(120, 300, seed=6)
         res = parallel_dfs(g, 0, kernel_backend="numpy")

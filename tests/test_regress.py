@@ -10,6 +10,8 @@ where the measurement methodology stabilized.
 import importlib.util
 import json
 import os
+import shutil
+import subprocess
 
 import pytest
 
@@ -188,8 +190,7 @@ class TestProvenance:
         ]
 
 
-def _bench_conftest():
-    path = os.path.join(os.path.dirname(RESULTS_DIR), "conftest.py")
+def _bench_conftest(path=os.path.join(os.path.dirname(RESULTS_DIR), "conftest.py")):
     spec = importlib.util.spec_from_file_location("bench_conftest", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
@@ -219,12 +220,47 @@ class TestLedgerStamp:
         assert doc["e17"]["kernel_backend"] == ["numpy", "tracked"]
         assert doc["e20"]["kernel_backend"] == "numpy"
         assert doc["e17"]["structure"] == doc["e20"]["structure"] == "flat"
-        # no engine passed: the process default ran
+        # no engine passed: the default engine ran
         assert doc["e1"]["kernel_backend"] == "tracked"
         assert "structure" not in doc["e1"]
         # timing-only entries claim no engine
         assert "kernel_backend" not in doc["test_e1"]
         assert doc["test_e1"]["cpu_count"] >= 1
+
+    def test_dirty_tree_is_stamped(self, tmp_path, monkeypatch):
+        # numbers from a tree that differs from HEAD are not HEAD's; the
+        # bench's own results/ tables are written before the first stamp
+        # and do not count
+        repo = tmp_path / "repo"
+        bench = repo / "benchmarks"
+        (bench / "results").mkdir(parents=True)
+        shutil.copy(os.path.join(os.path.dirname(RESULTS_DIR), "conftest.py"),
+                    bench / "conftest.py")
+        (repo / "mod.py").write_text("x = 1\n")
+        (bench / "results" / "e1.txt").write_text("old\n")
+        for args in (["init", "-q"], ["add", "-A"],
+                     ["commit", "-q", "-m", "seed"]):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                 "-c", "commit.gpgsign=false", *args],
+                cwd=repo, check=True, capture_output=True,
+            )
+        conf = _bench_conftest(str(bench / "conftest.py"))
+        ledger_path = tmp_path / "BENCH.json"
+        monkeypatch.setattr(conf, "BENCH_JSON", str(ledger_path))
+        monkeypatch.setattr(conf, "RESULTS_DIR", str(tmp_path))
+
+        def stamp() -> str:
+            conf._git_sha = None  # the sha is cached per process
+            conf.publish_json("e1", {"work": 5}, ran={})
+            return json.loads(ledger_path.read_text())["e1"]["git_sha"]
+
+        clean = stamp()
+        assert len(clean) == 12
+        (bench / "results" / "e1.txt").write_text("new\n")
+        assert stamp() == clean
+        (repo / "mod.py").write_text("x = 2\n")
+        assert stamp() == clean + "-dirty"
 
     def test_e17_and_e20_stamp_what_they_run(self, monkeypatch):
         import sys
