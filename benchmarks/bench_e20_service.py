@@ -147,8 +147,7 @@ async def _drive(handle: ServiceHandle, requests: list[dict]) -> tuple:
         served = await handle.op("dfs", graph="g", root=root, seed=seed)
         res = parallel_dfs(
             Graph(n, sorted(final_edges)), root,
-            rng=random.Random(seed), backend=rg.structure,
-            kernel_backend=rg.kernel_backend,
+            rng=random.Random(seed), kernel_backend=rg.kernel_backend,
         )
         want = tree_payload(res.root, res.parent, res.depth)
         assert tree_bytes(served["tree"]) == tree_bytes(want), (
@@ -278,7 +277,7 @@ def test_e20_service_lockstep_smoke():
                 res = parallel_dfs(
                     Graph(n, rg.dyn.edge_pairs()), req["root"],
                     rng=random.Random(req["seed"]),
-                    backend=rg.structure, kernel_backend=rg.kernel_backend,
+                    kernel_backend=rg.kernel_backend,
                 )
                 want = tree_payload(res.root, res.parent, res.depth)
                 assert tree_bytes(resp["tree"]) == tree_bytes(want), req

@@ -17,7 +17,7 @@ reproduction results.
 """
 
 from .graph import Graph
-from .pram import Tracker, Cost, brent_time, brent_time_bounds
+from .pram import Tracker, Cost, brent_time_bounds
 
 __version__ = "1.0.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "Graph",
     "Tracker",
     "Cost",
-    "brent_time",
     "brent_time_bounds",
     "parallel_dfs",
     "sequential_dfs",

@@ -541,7 +541,6 @@ def check_service_case(
                 g_oracle,
                 root,
                 rng=random.Random(seed),
-                backend=rg.structure,
                 kernel_backend=kb,
             )
             want = protocol.tree_payload(res.root, res.parent, res.depth)

@@ -189,8 +189,7 @@ def absorb_separator(
                 prev = w
             t.charge(len(chain), 1)
             ranks = prefix_sums_on_lists(
-                t, chain, prev_of, lambda w: 1, method="anderson-miller",
-                rng=rng, backend=kernel_backend,
+                t, chain, prev_of, lambda w: 1, rng=rng, backend=kernel_backend
             )
 
             chain_depths: dict[int, int] = {}

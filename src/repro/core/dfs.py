@@ -305,7 +305,7 @@ def _induced(
     if is_array_backend(backend):
         from ..kernels.subgraph import induced_subgraph_np
 
-        sub, mapping = induced_subgraph_np(g, vertices, order="vertex")
+        sub, mapping = induced_subgraph_np(g, vertices)
         scanned = sum(len(g.adj[v]) for v in vertices)
         t.charge(len(vertices) + scanned, log2_ceil(max(2, len(vertices))) + 1)
         return sub, mapping

@@ -87,10 +87,10 @@ def _contracted_arrays_np(
     """Vectorized G' construction — identical to the tracked edge loop.
 
     ``members[j]`` lies on short path ``member_short[j]``.  Returns
-    ``(big_n, eu, ev, indptr, dsts, eids, ckeys, cvals)``: the same edge
-    list as ``sorted(gp_edges)`` (same edge ids), the adjacency as CSR
-    arrays in exactly ``_add_edge``'s append order (edge-id order per
-    vertex), and the tracked ``contact`` map as parallel arrays —
+    ``(indptr, dsts, eids, ckeys, cvals)``: the adjacency of the edge
+    list ``sorted(gp_edges)`` (same edge ids) as CSR arrays in exactly
+    ``_add_edge``'s append order (edge-id order per vertex), and the
+    tracked ``contact`` map as parallel arrays —
     ``cvals[i]`` is the contact for the sorted key
     ``ckeys[i] = real * big_n + contracted`` (first occurrence in edge
     order wins, a-endpoint before b-endpoint within one edge —
@@ -136,37 +136,7 @@ def _contracted_arrays_np(
     ckeys = ckeys[valid]
     cvals = cvals[valid]
     uniq, first = np.unique(ckeys, return_index=True)
-    return big_n, eu, ev, indptr, dsts, eids, uniq, cvals[first]
-
-
-def _contracted_graph_np(
-    g: Graph,
-    members,
-    member_short,
-    contract_base: int,
-    n_short: int,
-) -> tuple[Graph, dict[tuple[int, int], int]]:
-    """G' as a :class:`Graph` — the array construction materialized into
-    adjacency lists (used when a non-flat neighbor structure needs a real
-    graph, e.g. the rescanning baseline under the numpy engine)."""
-    big_n, eu, ev, indptr, dsts, eids, ckeys, cvals = _contracted_arrays_np(
-        g, members, member_short, contract_base, n_short
-    )
-    edges = list(zip(eu.tolist(), ev.tolist()))
-    dl = dsts.tolist()
-    el = eids.tolist()
-    bounds = indptr.tolist()
-    # O(n' + m') list building, charged inside _contracted_arrays_np
-    adj = [dl[bounds[i] : bounds[i + 1]] for i in range(big_n)]  # repro-lint: disable=R001
-    adj_eids = [el[bounds[i] : bounds[i + 1]] for i in range(big_n)]  # repro-lint: disable=R001
-    gp = Graph.from_trusted_arrays(big_n, edges, adj, adj_eids)
-    contact = dict(
-        zip(
-            zip((ckeys // big_n).tolist(), (ckeys % big_n).tolist()),
-            cvals.tolist(),
-        )
-    )
-    return gp, contact
+    return indptr, dsts, eids, uniq, cvals[first]
 
 
 def merge_paths(
@@ -201,7 +171,11 @@ def merge_paths(
     # build the auxiliary graph G' with short paths contracted
     # ------------------------------------------------------------------
     kb = resolve_backend(backend)
-    array_engine = is_array_backend(kb) and g.m > 0
+    # the naive baseline needs G' as a Graph: the tracked edge loop below
+    # builds it on either engine
+    array_engine = (
+        is_array_backend(kb) and g.m > 0 and neighbor_structure == "tournament"
+    )
     n_short_members = sum(map(len, short_paths))
     if array_engine:
         import numpy as np
@@ -227,18 +201,13 @@ def merge_paths(
     gp: Graph | None = None
     gp_csr = None
     if array_engine:
-        if neighbor_structure == "tournament":
-            # all-array path: keep G' as CSR arrays and build the flat
-            # neighbor structure straight from them — no intermediate
-            # Graph with Python adjacency lists
-            _, _, _, indptr, dsts, eids2, ckeys, cvals = _contracted_arrays_np(
-                g, members, member_short, contract_base, len(short_paths)
-            )
-            gp_csr = (indptr, dsts, eids2)
-        else:
-            gp, contact = _contracted_graph_np(
-                g, members, member_short, contract_base, len(short_paths)
-            )
+        # all-array path: keep G' as CSR arrays and build the flat
+        # neighbor structure straight from them — no intermediate Graph
+        # with Python adjacency lists
+        indptr, dsts, eids2, ckeys, cvals = _contracted_arrays_np(
+            g, members, member_short, contract_base, len(short_paths)
+        )
+        gp_csr = (indptr, dsts, eids2)
     else:
         gp_edges: set[tuple[int, int]] = set()
         # (real G' endpoint, contracted id) -> a concrete contact vertex

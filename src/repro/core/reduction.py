@@ -151,8 +151,7 @@ def _assemble_merged(
             prev = v
     t.charge(len(vertices), log2_ceil(max(2, len(vertices) + 2)) + 1)
     ranks = prefix_sums_on_lists(
-        t, vertices, prev_of, lambda v: 1, method="anderson-miller", rng=rng,
-        backend=backend,
+        t, vertices, prev_of, lambda v: 1, rng=rng, backend=backend
     )
 
     merged_longs: list[list[int]] = []

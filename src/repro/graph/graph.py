@@ -179,22 +179,11 @@ class Graph:
             n = max(n, u + 1, v + 1)
         return cls(n, edges)
 
-    def subgraph(
-        self, vertices: Sequence[int], backend: str | None = None
-    ) -> tuple["Graph", dict[int, int]]:
-        """Induced subgraph on ``vertices``.
+    def subgraph(self, vertices: Sequence[int]) -> tuple["Graph", dict[int, int]]:
+        """Induced subgraph on ``vertices``, edges in parent edge-id order.
 
         Returns ``(H, mapping)`` where ``mapping[old_id] = new_id``.
-        ``backend="numpy"`` extracts from the cached CSR view
-        (:mod:`repro.kernels.subgraph`) — identical result, no per-edge
-        Python loop.
         """
-        from ..kernels.dispatch import is_array_backend
-
-        if is_array_backend(backend):
-            from ..kernels.subgraph import induced_subgraph_np
-
-            return induced_subgraph_np(self, vertices, order="edge")
         mapping = {v: i for i, v in enumerate(vertices)}
         sub_edges = []
         for u, v in self.edges:

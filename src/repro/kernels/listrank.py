@@ -27,8 +27,7 @@ Two engines:
   ``random.Random`` through ranking *and* other randomized subroutines
   stays in lockstep across backends (the matching that runs after a
   ranking sees the identical stream).  This is what
-  :func:`prefix_sums_on_lists_np` runs when the caller passed ``rng``
-  with ``method="anderson-miller"``.
+  :func:`prefix_sums_on_lists_np` runs when the caller passed ``rng``.
 """
 
 from __future__ import annotations
@@ -225,7 +224,6 @@ def prefix_sums_on_lists_np(
     vertices: Sequence[int],
     prev_of: Mapping[int, int | None],
     value_of: Callable[[int], int],
-    method: str = "anderson-miller",
     rng: random.Random | None = None,
 ) -> dict[int, int]:
     """Drop-in for :func:`repro.listrank.ranking.prefix_sums_on_lists`.
@@ -234,20 +232,19 @@ def prefix_sums_on_lists_np(
     at heads; predecessors outside ``vertices`` are treated as absent, so
     a caller can rank a suffix of a list). Returns ``{vertex: rank}``.
 
-    Engine selection: with ``method="anderson-miller"`` *and* a caller
-    ``rng``, the vectorized Anderson–Miller contraction runs and consumes
-    the identical ``rng`` draws the tracked backend would (lockstep —
-    see :func:`anderson_miller_ranks`); otherwise Wyllie pointer jumping
+    Engine selection: with a caller ``rng``, the vectorized
+    Anderson–Miller contraction runs and consumes the identical ``rng``
+    draws the tracked backend would (lockstep — see
+    :func:`anderson_miller_ranks`); otherwise Wyllie pointer jumping
     runs, which draws nothing — again matching the tracked backend's
-    consumption (``method="wyllie"`` never draws, and a tracked
-    Anderson–Miller call without a caller ``rng`` draws from its own
-    private generator).  Ranks are identical either way.
+    consumption (a tracked Anderson–Miller call without a caller ``rng``
+    draws from its own private generator).  Ranks are identical either
+    way.
     """
     vs = list(vertices)
     if not vs:
         return {}
-    am_lockstep = method == "anderson-miller" and rng is not None
-    if am_lockstep and len(vs) < _SMALL:
+    if rng is not None and len(vs) < _SMALL:
         if t is not None:
             k = len(vs)
             t.charge(3 * k, 3 * (log2_ceil(max(2, k)) + 1))
@@ -282,7 +279,7 @@ def prefix_sums_on_lists_np(
         pos_c = np.minimum(pos, k - 1)
         found = sorted_ids[pos_c] == prev_raw
         prev = np.where(found, order[pos_c], -1)
-    if am_lockstep:
+    if rng is not None:
         ranks = anderson_miller_ranks(ids, prev, values, rng, t)
     else:
         ranks = wyllie_ranks(prev, values, t)

@@ -1,21 +1,20 @@
 """CSR-native induced-subgraph extraction + trusted ``Graph`` assembly.
 
 The driver re-extracts induced subgraphs at every recursion level
-(``core.dfs._induced``, ``Graph.subgraph``); tracked, that is a dict
-membership test per scanned edge plus a per-edge validation loop in
-``Graph.__init__``.  Here the whole extraction is four array passes over
-the parent graph's cached CSR view:
+(``core.dfs._induced``); tracked, that is a dict membership test per
+scanned edge plus a per-edge validation loop in ``Graph.__init__``.
+Here the whole extraction is three array passes over the parent graph's
+cached CSR view:
 
 1. membership — scatter the new ids into a position LUT over the parent
    id space (``pos[vertices] = arange(k)``, ``-1`` elsewhere);
-2. filter — keep edge ids whose both endpoint positions are ``>= 0``;
-3. order — ``order="edge"`` keeps ascending edge-id order (what
-   ``Graph.subgraph`` emits); ``order="vertex"`` stable-sorts by the
-   position of the canonical min endpoint (what ``core.dfs._induced``
-   emits: outer loop over ``vertices``, inner over ``adj`` in edge-id
-   order) — both reproduce the tracked emission order *exactly*, so the
-   resulting graphs are identical objects, not merely isomorphic;
-4. assemble — :func:`assemble_graph` builds ``edges``/``adj``/
+2. gather — read the CSR rows of ``vertices`` and keep the arcs whose
+   owner is the canonical min endpoint and whose other endpoint is a
+   member.  Row order then slot order is exactly what the tracked
+   ``core.dfs._induced`` emits (outer loop over ``vertices``, inner over
+   ``adj`` in edge-id order), so the resulting graphs are identical
+   objects, not merely isomorphic;
+3. assemble — :func:`assemble_graph` builds ``edges``/``adj``/
    ``adj_eids`` with one ``np.lexsort`` over the doubled endpoint arrays
    (within a vertex, neighbors in edge-id order — the ``_add_edge``
    append order) and hands them to ``Graph.from_trusted_arrays``, which
@@ -30,7 +29,6 @@ from typing import Sequence
 import numpy as np
 
 from ..graph.graph import Graph
-from ..pram.tracker import Tracker, log2_ceil
 
 __all__ = ["assemble_graph", "induced_subgraph_np"]
 
@@ -67,63 +65,44 @@ def assemble_graph(n: int, new_u: np.ndarray, new_v: np.ndarray) -> Graph:
 
 
 def induced_subgraph_np(
-    g: Graph,
-    vertices: Sequence[int],
-    order: str = "vertex",
-    t: Tracker | None = None,
+    g: Graph, vertices: Sequence[int]
 ) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph of ``g`` on ``vertices``, relabeled to ``0..k-1``.
 
-    Returns ``(H, mapping)`` with ``mapping[old] = new``, like
-    ``Graph.subgraph``.  ``order`` selects the edge-id numbering of the
-    result: ``"edge"`` matches ``Graph.subgraph`` (parent edge-id
-    order), ``"vertex"`` matches ``core.dfs._induced`` (stable by the
-    position of the canonical min endpoint in ``vertices``).
+    Returns ``(H, mapping)`` with ``mapping[old] = new``.  Edge ids are
+    numbered as ``core.dfs._induced`` numbers them: stable by the
+    position of the canonical min endpoint in ``vertices``.
     """
-    if order not in ("vertex", "edge"):
-        raise ValueError(f"unknown induced-subgraph order {order!r}")
     vs = list(vertices)
     k = len(vs)
     mapping = {v: i for i, v in enumerate(vs)}
     c = g.csr()
     pos = np.full(g.n, -1, dtype=np.int64)
+    # output-sensitive: gather only the CSR rows of ``vertices``
+    # (O(k + sum deg), not O(m)) — the driver extracts every component
+    # of every level from the same parent graph, so a full-edge-list
+    # scan per call is quadratic over the recursion. Within a CSR block
+    # the role-u arcs (owner == edge_u < nbr) precede the role-v arcs and
+    # run in edge-id order, so keeping ``owner < nbr`` slots in (row,
+    # slot) order IS the tracked emission order: outer loop over
+    # ``vertices``, inner over ``adj`` restricted to canonical-min
+    # endpoints.
+    su = sv = np.empty(0, dtype=np.int64)
     if k:
         varr = np.fromiter(vs, dtype=np.int64, count=k)
         pos[varr] = np.arange(k, dtype=np.int64)
-    if order == "vertex":
-        # output-sensitive: gather only the CSR rows of ``vertices``
-        # (O(k + sum deg), not O(m)) — the driver extracts every
-        # component of every level from the same parent graph, so a
-        # full-edge-list scan per call is quadratic over the recursion.
-        # Within a CSR block the role-u arcs (owner == edge_u < nbr)
-        # precede the role-v arcs and run in edge-id order, so keeping
-        # ``owner < nbr`` slots in (row, slot) order IS the tracked
-        # emission order: outer loop over ``vertices``, inner over
-        # ``adj`` restricted to canonical-min endpoints.
-        su = sv = np.empty(0, dtype=np.int64)
-        if k:
-            indptr = c.indptr
-            starts = indptr[varr]
-            counts = indptr[varr + 1] - starts
-            total = int(counts.sum())
-            if total:
-                base = np.repeat(starts, counts)
-                offs = np.arange(total, dtype=np.int64) - np.repeat(
-                    np.cumsum(counts) - counts, counts
-                )
-                owners = np.repeat(varr, counts)
-                dsts = c.indices[base + offs]
-                keep = (owners < dsts) & (pos[dsts] >= 0)
-                su = pos[owners[keep]]
-                sv = pos[dsts[keep]]
-        if t is not None:
-            t.charge(k + int(c.m), log2_ceil(max(2, k)) + 1)
-        return assemble_graph(k, su, sv), mapping
-    pu = pos[c.edge_u]
-    pv = pos[c.edge_v]
-    keep = (pu >= 0) & (pv >= 0)
-    su = pu[keep]
-    sv = pv[keep]
-    if t is not None:
-        t.charge(k + int(c.m), log2_ceil(max(2, k)) + 1)
+        indptr = c.indptr
+        starts = indptr[varr]
+        counts = indptr[varr + 1] - starts
+        total = int(counts.sum())
+        if total:
+            base = np.repeat(starts, counts)
+            offs = np.arange(total, dtype=np.int64) - np.repeat(
+                np.cumsum(counts) - counts, counts
+            )
+            owners = np.repeat(varr, counts)
+            dsts = c.indices[base + offs]
+            keep = (owners < dsts) & (pos[dsts] >= 0)
+            su = pos[owners[keep]]
+            sv = pos[dsts[keep]]
     return assemble_graph(k, su, sv), mapping

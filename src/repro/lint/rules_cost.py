@@ -17,7 +17,7 @@ A loop is flagged when all of the following hold:
   ``range(3)`` etc. are O(1) in the graph size);
 * the *nearest enclosing function* contains no tracker-charging call
   anywhere in its body (``.op(``, ``.charge(``, ``.parallel_for(``,
-  ``.parallel(``, ``.parallel_for_enumerated(``, ``.primitive(``).
+  ``.parallel(``, ``.primitive(``).
 
 Module-level loops (import-time setup) are out of scope — they run
 once per process, not per algorithm invocation.
@@ -43,7 +43,6 @@ CHARGE_METHODS: frozenset[str] = frozenset(
         "charge",
         "parallel_for",
         "parallel",
-        "parallel_for_enumerated",
         "primitive",
     }
 )

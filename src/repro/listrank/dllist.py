@@ -99,29 +99,6 @@ class PathCollection:
         self.nxt[u] = _NIL
         return u
 
-    def pop_head(self, head: int) -> int | None:
-        """Detach the head vertex from its path; return the new head (or None).
-
-        The popped vertex is removed from the collection entirely (this is
-        the "kill the head vertex and backtrack" move of Section 4.2).
-        """
-        if self.prv[head] != _NIL:
-            raise ValueError(f"{head} is not a head")
-        w = self.nxt[head]
-        del self.nxt[head]
-        del self.prv[head]
-        if w == _NIL:
-            return None
-        self.prv[w] = _NIL
-        return w
-
-    def push_head(self, head: int | None, v: int) -> int:
-        """Prepend new vertex ``v`` before ``head`` (or start a new path)."""
-        self.add_singleton(v)
-        if head is not None:
-            self.link(v, head)
-        return v
-
     def discard_path(self, member: int) -> list[int]:
         """Remove the entire path containing ``member``; return its vertices."""
         vs = self.path_of(member)

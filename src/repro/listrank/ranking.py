@@ -11,7 +11,7 @@ Two implementations:
 
 * :func:`wyllie_prefix_sums` — Wyllie's synchronous pointer jumping.
   Deterministic, ``O(L log L)`` work, ``O(log L)`` span. Simple; used as the
-  correctness oracle and wherever the extra log factor is irrelevant.
+  correctness oracle and as E12's comparison point.
 * :func:`anderson_miller_prefix_sums` — randomized independent-set list
   contraction in the style of [AM90]: repeatedly splice out an independent
   ~1/4 fraction of nodes (coin of node is heads, coin of predecessor tails),
@@ -241,29 +241,23 @@ def prefix_sums_on_lists(
     vertices: Sequence[int],
     prev_of: Mapping[int, int | None],
     value_of: Callable[[int], int],
-    method: str = "anderson-miller",
     rng: random.Random | None = None,
     backend: str | None = None,
 ) -> dict[int, int]:
-    """Lemma 2.4 entry point: prefix sums on a union of disjoint lists.
+    """Lemma 2.4 entry point: prefix sums on a union of disjoint lists,
+    by Anderson–Miller contraction.
 
     ``backend="numpy"`` runs the vectorized kernels in
     :mod:`repro.kernels.listrank`: the lockstep Anderson–Miller
-    contraction when ``method="anderson-miller"`` and the caller passed
-    ``rng`` (it consumes the identical ``rng`` draws as the tracked
-    path, so a shared generator stays in sync across backends), and
-    Wyllie pointer jumping otherwise — both compute the exact same
-    ranks. The default ``"tracked"`` backend keeps the instrumented
-    implementations below as the work/span measurement instrument.
+    contraction when the caller passed ``rng`` (it consumes the
+    identical ``rng`` draws as the tracked path, so a shared generator
+    stays in sync across backends), and Wyllie pointer jumping
+    otherwise — both compute the exact same ranks. The default
+    ``"tracked"`` backend keeps the instrumented implementation below
+    as the work/span measurement instrument.
     """
     if is_array_backend(backend):
         from ..kernels.listrank import prefix_sums_on_lists_np
 
-        return prefix_sums_on_lists_np(
-            t, vertices, prev_of, value_of, method=method, rng=rng
-        )
-    if method == "wyllie":
-        return wyllie_prefix_sums(t, vertices, prev_of, value_of)
-    if method == "anderson-miller":
-        return anderson_miller_prefix_sums(t, vertices, prev_of, value_of, rng)
-    raise ValueError(f"unknown method {method!r}")
+        return prefix_sums_on_lists_np(t, vertices, prev_of, value_of, rng=rng)
+    return anderson_miller_prefix_sums(t, vertices, prev_of, value_of, rng)

@@ -1,12 +1,11 @@
 """PRAM work-depth substrate: cost tracking, parallel sorting."""
 
-from .tracker import Cost, Tracker, brent_time, brent_time_bounds, log2_ceil
+from .tracker import Cost, Tracker, brent_time_bounds, log2_ceil
 from .sorting import parallel_sort, parallel_merge
 
 __all__ = [
     "Cost",
     "Tracker",
-    "brent_time",
     "brent_time_bounds",
     "log2_ceil",
     "parallel_sort",

@@ -35,7 +35,6 @@ R = TypeVar("R")
 __all__ = [
     "Cost",
     "Tracker",
-    "brent_time",
     "brent_time_bounds",
     "log2_ceil",
 ]
@@ -76,12 +75,6 @@ class Cost:
         return f"Cost(work={self.work}, span={self.span})"
 
 
-def brent_time(work: float, span: float, p: int) -> float:
-    """Upper bound on ``T_p`` from Brent's principle: ``W/p + D``."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return work / p + span
-
 def brent_time_bounds(work: float, span: float, p: int) -> tuple[float, float]:
     """Return ``(lower, upper)`` bounds on ``T_p``: ``(max(W/p, D), W/p + D)``."""
     if p < 1:
@@ -89,35 +82,21 @@ def brent_time_bounds(work: float, span: float, p: int) -> tuple[float, float]:
     return max(work / p, span), work / p + span
 
 
-@dataclass
-class _RegionTotals:
-    work: int = 0
-    span: int = 0
-    calls: int = 0
-
-
 class Tracker:
     """Accumulates work and span for an instrumented computation.
 
     Attributes ``work`` and ``span`` are public running totals; algorithms
     charge into them through :meth:`op`, :meth:`charge`, and structure
-    parallelism through :meth:`parallel_for` / :meth:`parallel`.
-
-    The tracker also keeps named per-region totals (see :meth:`region`) so
-    experiment harnesses can attribute cost to phases (separator
-    construction, absorption, ...).
+    parallelism through :meth:`parallel_for` / :meth:`parallel`. Forking
+    ``k`` branches charges ``k`` work and ``ceil(log2 k) + 1`` span, as
+    in a binary fork tree.
     """
 
-    __slots__ = ("work", "span", "regions", "fork_overhead")
+    __slots__ = ("work", "span")
 
-    def __init__(self, fork_overhead: bool = True) -> None:
+    def __init__(self) -> None:
         self.work: int = 0
         self.span: int = 0
-        #: Named totals accumulated by :meth:`region`.
-        self.regions: dict[str, _RegionTotals] = {}
-        #: If True (default), forking k tasks charges O(k) work and
-        #: O(log k) span, as in a binary fork tree.
-        self.fork_overhead: bool = fork_overhead
 
     # ------------------------------------------------------------------
     # elementary charging
@@ -148,8 +127,7 @@ class Tracker:
 
         Work composes additively (each branch's charges accumulate into
         ``self.work`` as they happen); span composes as the max over the
-        branches, plus a fork-join overhead of ``ceil(log2 k)`` when
-        ``fork_overhead`` is set.
+        branches, plus the fork-join overhead.
         """
         k = len(items)
         if k == 0:
@@ -162,10 +140,8 @@ class Tracker:
             results.append(fn(item))
             if self.span > max_s:
                 max_s = self.span
-        overhead = log2_ceil(k) + 1 if self.fork_overhead else 0
-        self.span = s0 + max_s + overhead
-        if self.fork_overhead:
-            self.work += k
+        self.span = s0 + max_s + log2_ceil(k) + 1
+        self.work += k
         return results
 
     def parallel_ops(self, k: int) -> None:
@@ -174,36 +150,13 @@ class Tracker:
         the ``k`` branches in one vectorized pass."""
         if k == 0:
             return
-        self.work += k
-        self.span += 1
-        if self.fork_overhead:
-            self.work += k
-            self.span += log2_ceil(k) + 1
+        # k unit branches (k work, span 1), plus the fork-join overhead
+        self.work += k + k
+        self.span += 1 + log2_ceil(k) + 1
 
     def parallel(self, *thunks: Callable[[], R]) -> list[R]:
         """Run the given thunks as parallel branches (like parallel_for)."""
         return self.parallel_for(thunks, lambda f: f())
-
-    def parallel_for_enumerated(
-        self, items: Sequence[T], fn: Callable[[int, T], R]
-    ) -> list[R]:
-        """Like :meth:`parallel_for` but passes the branch index too."""
-        k = len(items)
-        if k == 0:
-            return []
-        s0 = self.span
-        max_s = 0
-        results: list[R] = []
-        for i, item in enumerate(items):
-            self.span = 0
-            results.append(fn(i, item))
-            if self.span > max_s:
-                max_s = self.span
-        overhead = log2_ceil(k) + 1 if self.fork_overhead else 0
-        self.span = s0 + max_s + overhead
-        if self.fork_overhead:
-            self.work += k
-        return results
 
     # ------------------------------------------------------------------
     # measurement helpers
@@ -230,33 +183,6 @@ class Tracker:
         finally:
             self.span = s0 + span_bound
 
-    @contextmanager
-    def measure(self) -> Iterator[Cost]:
-        """Measure the (work, span) of the enclosed block.
-
-        The measured span is the *sequential-composition* contribution of
-        the block: the increase of ``self.span`` across it.
-        """
-        c = Cost()
-        w0, s0 = self.work, self.span
-        try:
-            yield c
-        finally:
-            c.work = self.work - w0
-            c.span = self.span - s0
-
-    @contextmanager
-    def region(self, name: str) -> Iterator[Cost]:
-        """Measure the enclosed block and add it to named region totals."""
-        with self.measure() as c:
-            yield c
-        tot = self.regions.get(name)
-        if tot is None:
-            tot = self.regions[name] = _RegionTotals()
-        tot.work += c.work
-        tot.span += c.span
-        tot.calls += 1
-
     def snapshot(self) -> Cost:
         """The current running ``(work, span)`` totals as a
         tuple-unpackable :class:`Cost`.
@@ -267,26 +193,9 @@ class Tracker:
         """
         return Cost(self.work, self.span)
 
-    def delta(self, since: Cost) -> Cost:
-        """Totals accumulated since an earlier :meth:`snapshot`.
-
-        Like :meth:`snapshot`, charges nothing. Public helper for timing
-        a region from outside; the tracer reads ``work``/``span``
-        directly, without building :class:`Cost` objects per span.
-        """
-        return Cost(self.work - since.work, self.span - since.span)
-
-    def region_report(self) -> dict[str, dict[str, int]]:
-        """Per-region totals as plain dictionaries, in name order."""
-        return {
-            name: {"work": t.work, "span": t.span, "calls": t.calls}
-            for name, t in sorted(self.regions.items())
-        }
-
     def reset(self) -> None:
         self.work = 0
         self.span = 0
-        self.regions.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Tracker(work={self.work}, span={self.span})"

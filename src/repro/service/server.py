@@ -41,6 +41,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from ..core.dfs import check_structure
 from ..kernels.dispatch import resolve_backend
 from ..obs import runtime as obs
 from ..obs.context import bound_call, request_scope
@@ -57,6 +58,12 @@ __all__ = [
     "ServiceServer",
     "git_sha",
 ]
+
+#: span/event ring capacity of the service's flight recorder
+_FLIGHT_CAPACITY = 4096
+#: hard cap on anomaly dump files per process (a flapping anomaly must
+#: not fill a disk)
+_FLIGHT_MAX_DUMPS = 16
 
 _git_sha: str | None = None
 
@@ -112,21 +119,14 @@ class ServiceConfig:
     #: fires the ``slow_request`` anomaly (reported against the live
     #: Reservoir p99). 0 disables the check.
     slo_ms: float = 0.0
-    #: always-on flight recorder (bounded ring of spans/events, dumped
-    #: on anomaly); see docs/observability.md
-    flight_recorder: bool = True
-    #: span/event ring capacity per process
-    flight_capacity: int = 4096
-    #: where anomaly dumps go (None = record rings, write no files).
+    #: where the always-on flight recorder's anomaly dumps go (None =
+    #: record rings, write no files); see docs/observability.md.
     #: Defaults from ``REPRO_FLIGHT_DIR`` so CI can collect dumps from
     #: every service a test battery spins up without threading the
     #: setting through each test.
     flight_dir: str | None = field(
         default_factory=lambda: os.environ.get("REPRO_FLIGHT_DIR")
     )
-    #: hard cap on dump files per process (a flapping anomaly must not
-    #: fill a disk)
-    flight_max_dumps: int = 16
 
 
 @dataclass
@@ -146,9 +146,9 @@ class DFSService:
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
         resolve_backend(self.config.kernel_backend)  # fail fast on typos
+        check_structure(self.config.structure)  # at start, not per dfs
         self.store = GraphStore(
             kernel_backend=self.config.kernel_backend,
-            structure=self.config.structure,
             rebuild_fraction=self.config.rebuild_fraction,
             max_cache=self.config.max_cache,
             max_graphs=self.config.max_graphs,
@@ -181,31 +181,21 @@ class DFSService:
         # registry (tests/benches collect everything in one place);
         # otherwise it owns a ring tracer + registry which start()
         # installs process-wide for the service's lifetime.
-        self.recorder: FlightRecorder | None = None
-        self._owns_obs = False
-        if self.config.flight_recorder:
-            if obs.enabled():
-                self.recorder = FlightRecorder(
-                    self.config.flight_capacity,
-                    tracer=obs.tracer(),
-                    metrics=obs.metrics(),
-                    dump_dir=self.config.flight_dir,
-                    max_dumps=self.config.flight_max_dumps,
-                )
-            else:
-                self.recorder = FlightRecorder(
-                    self.config.flight_capacity,
-                    backend=resolve_backend(self.config.kernel_backend),
-                    dump_dir=self.config.flight_dir,
-                    max_dumps=self.config.flight_max_dumps,
-                )
-                self._owns_obs = True
+        self._owns_obs = not obs.enabled()
+        if self._owns_obs:
+            plane = {"backend": resolve_backend(self.config.kernel_backend)}
+        else:
+            plane = {"tracer": obs.tracer(), "metrics": obs.metrics()}
+        self.recorder = FlightRecorder(
+            _FLIGHT_CAPACITY,
+            dump_dir=self.config.flight_dir,
+            max_dumps=_FLIGHT_MAX_DUMPS,
+            **plane,
+        )
         # obs instruments, bound once at construction: the caller's
         # active registry when one exists, else the recorder's (so the
-        # exposition endpoint sees them), else the no-op singletons
-        m = obs.metrics()
-        if isinstance(m, NullMetrics) and self.recorder is not None:
-            m = self.recorder.metrics
+        # exposition endpoint sees them)
+        m = self._bound_metrics()
         self._h_queue_depth = m.histogram("service.queue_depth")
         self._h_batch = m.histogram("service.batch_size")
         self._c_hits = m.counter("service.cache_hits")
@@ -233,12 +223,11 @@ class DFSService:
         self._queue = asyncio.Queue()
         self._stopping = False
         self._t_start = time.monotonic()
-        if self.recorder is not None:
-            if self._owns_obs:
-                self._obs_prev = obs.install(
-                    self.recorder.tracer, self.recorder.metrics
-                )
-            self._rec_prev = install_recorder(self.recorder)
+        if self._owns_obs:
+            self._obs_prev = obs.install(
+                self.recorder.tracer, self.recorder.metrics
+            )
+        self._rec_prev = install_recorder(self.recorder)
         self._batcher = asyncio.create_task(
             self._batch_loop(), name="repro-service-batcher"
         )
@@ -258,12 +247,11 @@ class DFSService:
         self._batcher = None
         self._queue = None
         self._executor = None
-        if self.recorder is not None:
-            install_recorder(self._rec_prev)
-            self._rec_prev = None
-            if self._obs_prev is not None:
-                obs.install(self._obs_prev.tracer, self._obs_prev.metrics)
-                self._obs_prev = None
+        install_recorder(self._rec_prev)
+        self._rec_prev = None
+        if self._obs_prev is not None:
+            obs.install(self._obs_prev.tracer, self._obs_prev.metrics)
+            self._obs_prev = None
 
     # ------------------------------------------------------------------
     # request entry
@@ -302,8 +290,7 @@ class DFSService:
     def note_protocol_error(self, code: str) -> None:
         """Record a malformed request (an anomaly: it means a client is
         broken or hostile, and the frames around it matter)."""
-        if self.recorder is not None:
-            self.recorder.anomaly("protocol_error", code=code)
+        self.recorder.anomaly("protocol_error", code=code)
 
     def _count_error(self, resp: dict) -> dict:
         self.counters["errors"] += 1
@@ -369,23 +356,22 @@ class DFSService:
             self._c_errors.value += 1
         latency_ms = (time.perf_counter() - pending.t0) * 1000.0
         self._r_latency.observe(latency_ms)
-        if self.recorder is not None:
-            with request_scope(pending.rid):
-                self.recorder.event(
-                    "service.request",
+        with request_scope(pending.rid):
+            self.recorder.event(
+                "service.request",
+                op=pending.request.get("op"),
+                ok=ok,
+                latency_ms=round(latency_ms, 3),
+            )
+            if 0.0 < self.config.slo_ms < latency_ms:
+                self.recorder.anomaly(
+                    "slow_request",
+                    request_id=pending.rid,
                     op=pending.request.get("op"),
-                    ok=ok,
                     latency_ms=round(latency_ms, 3),
+                    slo_ms=self.config.slo_ms,
+                    p99_ms=self._r_latency.quantile(0.99),
                 )
-                if 0.0 < self.config.slo_ms < latency_ms:
-                    self.recorder.anomaly(
-                        "slow_request",
-                        request_id=pending.rid,
-                        op=pending.request.get("op"),
-                        latency_ms=round(latency_ms, 3),
-                        slo_ms=self.config.slo_ms,
-                        p99_ms=self._r_latency.quantile(0.99),
-                    )
         if not pending.future.done():
             pending.future.set_result(resp)
 
@@ -483,14 +469,13 @@ class DFSService:
             "pid": os.getpid(),
             "python": platform.python_version(),
         }
-        if self.recorder is not None:
-            info["flight"] = self.recorder.stats()
+        info["flight"] = self.recorder.stats()
         return info
 
     def _bound_metrics(self):
         """The registry the service instruments actually report to."""
         m = obs.metrics()
-        if isinstance(m, NullMetrics) and self.recorder is not None:
+        if isinstance(m, NullMetrics):
             m = self.recorder.metrics
         return m
 
@@ -611,16 +596,15 @@ class DFSService:
                 )
                 if protocol.tree_bytes(fresh) != protocol.tree_bytes(tree):
                     self.counters["lockstep_violations"] += 1
-                    if self.recorder is not None:
-                        self.recorder.anomaly(
-                            "lockstep_violation",
-                            request_id=pending.rid,
-                            graph=name,
-                            root=req["root"],
-                            seed=req.get("seed", 0),
-                            cached=was_cached,
-                            mutations=rg.dyn.mutations,
-                        )
+                    self.recorder.anomaly(
+                        "lockstep_violation",
+                        request_id=pending.rid,
+                        graph=name,
+                        root=req["root"],
+                        seed=req.get("seed", 0),
+                        cached=was_cached,
+                        mutations=rg.dyn.mutations,
+                    )
                     return protocol.error_payload(
                         "lockstep_violation",
                         "served tree diverged from fresh recompute",

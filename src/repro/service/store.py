@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 
-from ..core.dfs import check_structure, parallel_dfs
+from ..core.dfs import STRUCTURE, parallel_dfs
 from ..graph.generators import FAMILIES, make_family
 from ..kernels.dispatch import resolve_backend
 from . import protocol
@@ -49,7 +49,6 @@ class ResidentGraph:
         edges: list[tuple[int, int]] | None = None,
         *,
         kernel_backend: str | None = None,
-        structure: str = "flat",
         rebuild_fraction: float = 0.25,
         max_cache: int = 1024,
     ) -> None:
@@ -57,7 +56,6 @@ class ResidentGraph:
 
         self.name = name
         self.kernel_backend = resolve_backend(kernel_backend)
-        self.structure = structure
         try:
             self.dyn = DynamicGraph(
                 n,
@@ -101,7 +99,6 @@ class ResidentGraph:
             self.dyn.snapshot(),
             root,
             rng=random.Random(seed),
-            backend=self.structure,
             kernel_backend=self.kernel_backend,
         )
         return protocol.tree_payload(res.root, res.parent, res.depth)
@@ -137,7 +134,7 @@ class ResidentGraph:
             "cache_hit_rate": round(self.hit_rate(), 4),
             "maintenance": dict(self.dyn.maintenance),
             "kernel_backend": self.kernel_backend,
-            "structure": self.structure,
+            "structure": STRUCTURE,
         }
 
 
@@ -148,14 +145,11 @@ class GraphStore:
         self,
         *,
         kernel_backend: str | None = None,
-        structure: str = "flat",
         rebuild_fraction: float = 0.25,
         max_cache: int = 1024,
         max_graphs: int = 64,
     ) -> None:
         self.kernel_backend = resolve_backend(kernel_backend)
-        check_structure(structure)  # fail at service start, not per dfs
-        self.structure = structure
         self.rebuild_fraction = rebuild_fraction
         self.max_cache = max_cache
         self.max_graphs = max_graphs
@@ -211,7 +205,6 @@ class GraphStore:
             n,
             edges,
             kernel_backend=self.kernel_backend,
-            structure=self.structure,
             rebuild_fraction=self.rebuild_fraction,
             max_cache=self.max_cache,
         )

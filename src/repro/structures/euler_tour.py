@@ -14,11 +14,12 @@ concatenates; ``cut`` removes the two arcs, which always bracket one side's
 subtour.
 
 The sequence is kept in a splay tree with parent pointers. Every node
-carries two integer values (``val1``, ``val2``) with subtree aggregates —
-the HDT layers use ``val1`` on vertex nodes for "number of incident
-non-tree edges at this level" and ``val2`` on arc nodes for "this tree edge
-has exactly this level" — plus a subtree vertex count used for component
-sizes.
+carries two integer tags (``val1``, ``val2``) that the HDT layers read
+per node in :meth:`EulerTourForest.component_collect` — ``val1`` on vertex
+nodes for "number of incident non-tree edges at this level" and ``val2`` on
+arc nodes for "this tree edge has exactly this level". The subtree
+aggregates are the node count, the vertex count (component sizes), the
+minimum vertex id (component representative) and the minimum vertex key.
 
 Cost accounting: every pointer step / rotation charges one op to the
 tracker; these operations are inherently sequential pointer chases, so work
@@ -51,8 +52,6 @@ class TourNode:
         "label",
         "val1",
         "val2",
-        "agg1",
-        "agg2",
         "minv",
         "key3",
         "agg3key",
@@ -70,8 +69,6 @@ class TourNode:
         self.label = label
         self.val1 = 0
         self.val2 = 0
-        self.agg1 = 0
-        self.agg2 = 0
         #: minimum vertex id among vertex nodes in this subtree (stable
         #: component representative; 2**62 when the subtree has none)
         self.minv = label if is_vertex else _NO_VERTEX
@@ -111,22 +108,16 @@ class EulerTourForest:
     def _pull(self, x: TourNode) -> None:
         size = 1
         vcount = 1 if x.is_vertex else 0
-        agg1 = x.val1
-        agg2 = x.val2
         minv = x.label if x.is_vertex else _NO_VERTEX
         l, r = x.left, x.right
         if l is not None:
             size += l.size
             vcount += l.vcount
-            agg1 += l.agg1
-            agg2 += l.agg2
             if l.minv < minv:
                 minv = l.minv
         if r is not None:
             size += r.size
             vcount += r.vcount
-            agg1 += r.agg1
-            agg2 += r.agg2
             if r.minv < minv:
                 minv = r.minv
         # canonical argmin: ties on the key resolve to the smallest vertex
@@ -143,8 +134,6 @@ class EulerTourForest:
             a3 = r.agg3arg
         x.size = size
         x.vcount = vcount
-        x.agg1 = agg1
-        x.agg2 = agg2
         x.minv = minv
         x.agg3key = k3
         x.agg3arg = a3
@@ -196,13 +185,6 @@ class EulerTourForest:
             self.t.op(1)
             x = x.parent
         return self._splay(x)
-
-    def _first(self, root: TourNode) -> TourNode:
-        x = root
-        while x.left is not None:
-            self.t.op(1)
-            x = x.left
-        return x
 
     def _last(self, root: TourNode) -> TourNode:
         x = root
@@ -358,40 +340,6 @@ class EulerTourForest:
         node.val2 = value
         self._pull(node)
 
-    def component_agg1(self, v: int) -> int:
-        return self._find_root(self.vnode[v]).agg1
-
-    def component_agg2(self, v: int) -> int:
-        return self._find_root(self.vnode[v]).agg2
-
-    def _find_positive(self, which: int, v: int) -> TourNode | None:
-        """Descend to some node with positive val{which} in v's tree."""
-        root = self._find_root(self.vnode[v])
-        agg = root.agg1 if which == 1 else root.agg2
-        if agg <= 0:
-            return None
-        x = root
-        while True:
-            self.t.op(1)
-            val = x.val1 if which == 1 else x.val2
-            if val > 0:
-                return x
-            l = x.left
-            if l is not None and (l.agg1 if which == 1 else l.agg2) > 0:
-                x = l
-                continue
-            x = x.right  # aggregate invariant guarantees this side
-
-    def find_vertex_with_val1(self, v: int) -> int | None:
-        """Some vertex in v's component with val1 > 0, else None."""
-        node = self._find_positive(1, v)
-        return None if node is None else node.label
-
-    def find_arc_with_val2(self, v: int) -> tuple[int, int] | None:
-        """Some tagged tree edge (val2 > 0) in v's component, else None."""
-        node = self._find_positive(2, v)
-        return None if node is None else node.label
-
     # ------------------------------------------------------------------
     # enumeration (O(size of component); used on the *smaller* side only)
     # ------------------------------------------------------------------
@@ -405,8 +353,8 @@ class EulerTourForest:
         labels with ``val1 > 0`` (vertices holding level-i non-tree
         edges). This is the array-encoded read the canonical replacement
         search of :meth:`repro.structures.hdt.HDTConnectivity.batch_delete`
-        runs on — one O(size) sweep instead of repeated aggregate-guided
-        descents, so the result is independent of the splay shape.
+        runs on — one O(size) sweep whose result, once sorted by the
+        caller, is independent of the splay shape.
         """
         root = self._find_root(self.vnode[v])
         verts: list[int] = []
@@ -471,21 +419,17 @@ class EulerTourForest:
             stack = [root]
             while stack:
                 x = stack.pop()
-                size, vcount, a1, a2 = 1, 1 if x.is_vertex else 0, x.val1, x.val2
+                size, vcount = 1, 1 if x.is_vertex else 0
                 k3 = x.key3 if x.is_vertex else _NO_KEY
                 for c in (x.left, x.right):
                     if c is not None:
                         assert c.parent is x
                         size += c.size
                         vcount += c.vcount
-                        a1 += c.agg1
-                        a2 += c.agg2
                         k3 = min(k3, c.agg3key)
                         stack.append(c)
                 assert x.size == size
                 assert x.vcount == vcount
-                assert x.agg1 == a1
-                assert x.agg2 == a2
                 assert x.agg3key == k3
             # tour well-formedness: arcs pair up like balanced brackets
             # (cyclically). Rotate so the sequence starts at a vertex node.
@@ -534,10 +478,6 @@ _wrap_primitive(
         "set_vertex_val1",
         "add_vertex_val1",
         "set_arc_val2",
-        "component_agg1",
-        "component_agg2",
-        "find_vertex_with_val1",
-        "find_arc_with_val2",
         "component_vertices",
         "component_collect",
     ],

@@ -79,8 +79,7 @@ class HDTConnectivity:
         self.t = tracker if tracker is not None else Tracker()
         self.n = g.n
         self.L = max(1, (max(2, g.n) - 1).bit_length())
-        #: endpoints per edge id (ids beyond the initial graph come from
-        #: insert_edge)
+        #: endpoints per edge id (the initial graph's edge ids)
         self.endpoints: list[tuple[int, int]] = list(g.edges)
         self.alive: list[bool] = [True] * g.m
         self.level: list[int] = [0] * g.m
@@ -96,8 +95,8 @@ class HDTConnectivity:
         self.nontree: list[list[set[int]]] = [[set() for _ in range(g.n)]]
         #: live incident edge ids per vertex (for vertex deletion)
         self.incident: list[set[int]] = [set() for _ in range(g.n)]
-        #: canonical (min,max) endpoint pair -> tree edge id, for arcs found
-        #: via the val2 aggregate
+        #: canonical (min,max) endpoint pair -> tree edge id, for the tagged
+        #: arcs ``component_collect`` reports
         self._pair_to_eid: dict[tuple[int, int], int] = {}
         # observability instruments (bound once; see docs/observability.md)
         self._c_promote = obs.metrics().counter("hdt.promotions")
@@ -167,45 +166,8 @@ class HDTConnectivity:
         return self.alive[eid]
 
     # ------------------------------------------------------------------
-    # insertion (initialization path + generality for tests/demos)
-    # ------------------------------------------------------------------
-    def insert_edge(self, u: int, v: int) -> int:
-        """Insert a new edge; returns its id. O(log n) amortized."""
-        if u == v:
-            raise ValueError("self-loop")
-        t = self.t
-        eid = len(self.endpoints)
-        key = (u, v) if u < v else (v, u)
-        self.endpoints.append(key)
-        self.alive.append(True)
-        self.level.append(0)
-        self.is_tree.append(False)
-        self.incident[u].add(eid)
-        self.incident[v].add(eid)
-        t.op(1)
-        a, b = key
-        if not self.ett[0].connected(a, b):
-            self.is_tree[eid] = True
-            self._pair_to_eid[key] = eid
-            self.ett[0].link(a, b)
-            self.ett[0].set_arc_val2(a, b, 1)
-        else:
-            self.nontree[0][a].add(eid)
-            self.nontree[0][b].add(eid)
-            self.ett[0].add_vertex_val1(a, 1)
-            self.ett[0].add_vertex_val1(b, 1)
-        return eid
-
-    # ------------------------------------------------------------------
     # deletion
     # ------------------------------------------------------------------
-    def delete_edge(self, eid: int) -> list[ForestChange]:
-        return self.batch_delete([eid])
-
-    def delete_vertex(self, v: int) -> list[ForestChange]:
-        """Delete all edges incident to v (the paper's vertex deletion)."""
-        return self.batch_delete(sorted(self.incident[v]))
-
     def batch_delete(self, eids: Sequence[int]) -> list[ForestChange]:
         """Delete a batch of edges; returns the level-0 forest changes."""
         with obs.span("hdt.batch_delete", batch=len(eids)):

@@ -30,7 +30,7 @@ __all__ = ["LinkCutForest"]
 
 
 class _LctNode:
-    __slots__ = ("left", "right", "parent", "flip", "vertex", "flag", "flag_count", "size")
+    __slots__ = ("left", "right", "parent", "flip", "vertex", "flag", "flag_count")
 
     def __init__(self, vertex: int) -> None:
         self.left: _LctNode | None = None
@@ -40,7 +40,6 @@ class _LctNode:
         self.vertex = vertex
         self.flag = False
         self.flag_count = 0
-        self.size = 1
 
 
 class LinkCutForest:
@@ -67,15 +66,11 @@ class LinkCutForest:
 
     def _pull(self, x: _LctNode) -> None:
         fc = 1 if x.flag else 0
-        size = 1
         if x.left is not None:
             fc += x.left.flag_count
-            size += x.left.size
         if x.right is not None:
             fc += x.right.flag_count
-            size += x.right.size
         x.flag_count = fc
-        x.size = size
 
     def _push(self, x: _LctNode) -> None:
         if x.flip:
@@ -253,11 +248,6 @@ class LinkCutForest:
         self._access(self.nodes[v])
         return self.nodes[v]
 
-    def path_length(self, u: int, v: int) -> int:
-        """Number of vertices on the tree path from u to v."""
-        root = self._expose_path(u, v)
-        return root.size
-
     def path(self, u: int, v: int) -> list[int]:
         """The explicit vertex path from u to v.
 
@@ -338,7 +328,6 @@ _wrap_primitive(
         "link",
         "cut",
         "set_flag",
-        "path_length",
         "path",
         "first_flagged_on_path",
     ],

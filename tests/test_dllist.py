@@ -78,38 +78,6 @@ class TestCuts:
         assert pc.path_of(1) == [1, 2]
         assert pc.path_of(3) == [3]
 
-    def test_pop_head(self):
-        pc = PathCollection()
-        make_path(pc, [1, 2, 3])
-        new_head = pc.pop_head(1)
-        assert new_head == 2
-        assert 1 not in pc
-        assert pc.path_of(2) == [2, 3]
-
-    def test_pop_head_of_singleton(self):
-        pc = PathCollection()
-        pc.add_singleton(7)
-        assert pc.pop_head(7) is None
-        assert 7 not in pc
-
-    def test_pop_head_requires_head(self):
-        pc = PathCollection()
-        make_path(pc, [1, 2])
-        with pytest.raises(ValueError):
-            pc.pop_head(2)
-
-    def test_push_head(self):
-        pc = PathCollection()
-        make_path(pc, [2, 3])
-        h = pc.push_head(2, 1)
-        assert h == 1
-        assert pc.path_of(3) == [1, 2, 3]
-
-    def test_push_head_new_path(self):
-        pc = PathCollection()
-        assert pc.push_head(None, 4) == 4
-        assert pc.is_singleton(4)
-
     def test_discard_path(self):
         pc = PathCollection()
         make_path(pc, [1, 2, 3])

@@ -43,6 +43,11 @@ class ReferenceForest:
         self.edges.discard((v, u))
 
 
+def _val1_sum(f, v):
+    """Sum of val1 over v's tree, read through ``component_collect``."""
+    return sum(f.vertex_val1(x) for x in f.component_collect(v)[2])
+
+
 class TestBasicOps:
     def test_initial_singletons(self):
         f = EulerTourForest(4)
@@ -118,8 +123,8 @@ class TestAggregates:
         f.add_vertex_val1(0, 5)
         f.add_vertex_val1(1, 2)
         f.add_vertex_val1(2, 9)
-        assert f.component_agg1(1) == 7
-        assert f.component_agg1(3) == 9
+        assert _val1_sum(f, 1) == 7
+        assert _val1_sum(f, 3) == 9
 
     def test_val1_survives_restructuring(self):
         f = EulerTourForest(5)
@@ -127,20 +132,20 @@ class TestAggregates:
             f.add_vertex_val1(v, v)
         for a, b in [(0, 1), (1, 2), (2, 3), (3, 4)]:
             f.link(a, b)
-        assert f.component_agg1(0) == 10
+        assert _val1_sum(f, 0) == 10
         f.cut(1, 2)
-        assert f.component_agg1(0) == 1
-        assert f.component_agg1(4) == 9
+        assert _val1_sum(f, 0) == 1
+        assert _val1_sum(f, 4) == 9
 
     def test_find_vertex_with_val1(self):
         f = EulerTourForest(6)
         for a, b in [(0, 1), (1, 2), (3, 4)]:
             f.link(a, b)
         f.add_vertex_val1(2, 1)
-        assert f.find_vertex_with_val1(0) == 2
-        assert f.find_vertex_with_val1(3) is None
+        assert f.component_collect(0)[2] == [2]
+        assert f.component_collect(3)[2] == []
         f.add_vertex_val1(2, -1)
-        assert f.find_vertex_with_val1(0) is None
+        assert f.component_collect(0)[2] == []
 
     def test_negative_val1_rejected(self):
         f = EulerTourForest(2)
@@ -152,10 +157,9 @@ class TestAggregates:
         f.link(0, 1)
         f.link(1, 2)
         f.set_arc_val2(0, 1, 1)
-        assert f.component_agg2(2) == 1
-        assert f.find_arc_with_val2(2) == (0, 1)
+        assert f.component_collect(2)[1] == [(0, 1)]
         f.set_arc_val2(0, 1, 0)
-        assert f.find_arc_with_val2(2) is None
+        assert f.component_collect(2)[1] == []
 
     def test_arc_val2_missing_edge(self):
         f = EulerTourForest(3)
@@ -253,4 +257,4 @@ class TestKeyAggregate:
         f.set_vertex_val1(1, 5)
         assert f.vertex_val1(1) == 5
         f.set_vertex_val1(1, 2)
-        assert f.component_agg1(1) == 2
+        assert _val1_sum(f, 1) == 2

@@ -35,15 +35,16 @@ class TestPrimitiveScope:
         assert t.work == 27
 
     def test_primitive_inside_parallel_branch(self):
-        t = Tracker(fork_overhead=False)
+        t = Tracker()
 
         def branch(w):
             with t.primitive(w):
                 t.op(1000)
 
         t.parallel_for([2, 6], branch)
-        assert t.span == 6  # max of the branch bounds
-        assert t.work == 2000
+        # max of the branch bounds, plus the fork of 2: ceil(log2 2) + 1
+        assert t.span == 6 + 2
+        assert t.work == 2000 + 2
 
     def test_primitive_restores_on_exception(self):
         t = Tracker()

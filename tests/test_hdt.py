@@ -24,6 +24,11 @@ def oracle_labels(n, live_edges):
     return lab
 
 
+def _incident(g, v):
+    """Edge ids incident to v: deleting them all is v's deletion."""
+    return [e for e, pair in enumerate(g.edges) if v in pair]
+
+
 def hdt_matches_oracle(hdt, n, live_edges):
     lab = oracle_labels(n, live_edges)
     for v in range(n):
@@ -66,7 +71,7 @@ class TestSingleDeletions:
         nontree = [e for e in g.edges if e not in tree]
         assert len(nontree) == 1
         eid = g.edges.index(nontree[0])
-        changes = hdt.delete_edge(eid)
+        changes = hdt.batch_delete([eid])
         assert changes == []
         assert hdt.connected(0, 3)
 
@@ -75,7 +80,7 @@ class TestSingleDeletions:
         hdt = HDTConnectivity(g)
         tree_pairs = hdt.spanning_forest_edges()
         eid = g.edges.index(tuple(sorted(tree_pairs[0])))
-        changes = hdt.delete_edge(eid)
+        changes = hdt.batch_delete([eid])
         kinds = [c.kind for c in changes]
         assert kinds == ["cut", "link"]
         assert hdt.connected(0, 4)
@@ -83,7 +88,7 @@ class TestSingleDeletions:
     def test_delete_bridge_splits(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         hdt = HDTConnectivity(g)
-        changes = hdt.delete_edge(1)  # edge (1,2)
+        changes = hdt.batch_delete([1])  # edge (1,2)
         assert [c.kind for c in changes] == ["cut"]
         assert not hdt.connected(0, 3)
         assert hdt.component_size(0) == 2
@@ -91,9 +96,9 @@ class TestSingleDeletions:
     def test_double_delete_rejected(self):
         g = Graph(2, [(0, 1)])
         hdt = HDTConnectivity(g)
-        hdt.delete_edge(0)
+        hdt.batch_delete([0])
         with pytest.raises(ValueError):
-            hdt.delete_edge(0)
+            hdt.batch_delete([0])
 
     def test_delete_all_edges_one_by_one(self):
         g = G.gnm_random_connected_graph(16, 40, seed=4)
@@ -103,7 +108,7 @@ class TestSingleDeletions:
         random.Random(9).shuffle(order)
         alive = set(range(g.m))
         for eid in order:
-            hdt.delete_edge(eid)
+            hdt.batch_delete([eid])
             alive.discard(eid)
             live_edges = [g.edges[e] for e in sorted(alive)]
             assert hdt_matches_oracle(hdt, g.n, live_edges)
@@ -179,14 +184,14 @@ class TestVertexDeletion:
     def test_delete_vertex_removes_all_incident(self):
         g = G.star_graph(8)
         hdt = HDTConnectivity(g)
-        hdt.delete_vertex(0)
+        hdt.batch_delete(_incident(g, 0))
         for v in range(1, 8):
             assert hdt.component_size(v) == 1
 
     def test_delete_path_interior(self):
         g = G.path_graph(5)
         hdt = HDTConnectivity(g)
-        hdt.delete_vertex(2)
+        hdt.batch_delete(_incident(g, 2))
         assert hdt.connected(0, 1)
         assert hdt.connected(3, 4)
         assert not hdt.connected(1, 3)
@@ -194,36 +199,12 @@ class TestVertexDeletion:
     def test_delete_vertex_in_dense_graph_keeps_rest_connected(self):
         g = G.complete_graph(8)
         hdt = HDTConnectivity(g)
-        hdt.delete_vertex(3)
+        hdt.batch_delete(_incident(g, 3))
         for v in range(8):
             if v == 3:
                 assert hdt.component_size(v) == 1
             else:
                 assert hdt.component_size(v) == 7
-
-
-class TestInsertions:
-    def test_insert_reconnects(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        hdt = HDTConnectivity(g)
-        eid = hdt.insert_edge(1, 2)
-        assert hdt.connected(0, 3)
-        hdt.delete_edge(eid)
-        assert not hdt.connected(0, 3)
-
-    def test_insert_nontree_then_acts_as_replacement(self):
-        g = G.path_graph(4)
-        hdt = HDTConnectivity(g)
-        extra = hdt.insert_edge(0, 3)  # creates a cycle -> non-tree
-        hdt.delete_edge(1)  # tree edge (1,2)
-        assert hdt.connected(0, 3)  # replaced via the inserted edge
-        assert hdt.connected(1, 2)
-
-    def test_insert_self_loop_rejected(self):
-        g = Graph(2, [])
-        hdt = HDTConnectivity(g)
-        with pytest.raises(ValueError):
-            hdt.insert_edge(1, 1)
 
 
 class TestAmortizedWork:
@@ -237,7 +218,7 @@ class TestAmortizedWork:
         order = list(range(g.m))
         rng.shuffle(order)
         for eid in order:
-            hdt.delete_edge(eid)
+            hdt.batch_delete([eid])
         per_deletion = (t.work - w0) / g.m
         logn = g.n.bit_length()
         assert per_deletion <= 40 * logn * logn
@@ -257,7 +238,7 @@ class TestAmortizedWork:
         t2 = Tracker()
         hdt2 = HDTConnectivity(Graph(20, edges), tracker=t2)
         t2.reset()
-        hdt2.delete_edge(4)
+        hdt2.batch_delete([4])
         span_single = t2.span
         # batch of 2 independent deletions costs roughly one deletion's span
         assert span_batch <= 3 * span_single + 50
@@ -265,7 +246,7 @@ class TestAmortizedWork:
 
 class TestBatchInsert:
     """Batch insertion lives on the flat forest (the service's resident
-    connectivity); the splay HDT above keeps single-edge ``insert_edge``."""
+    connectivity); the splay HDT above only deletes."""
 
     def test_batch_reconnects(self):
         g = Graph(6, [])
@@ -336,6 +317,6 @@ class TestMisc:
         g = Graph(3, [(0, 1), (1, 2)])
         hdt = HDTConnectivity(g)
         assert hdt.edge_alive(0)
-        hdt.delete_edge(0)
+        hdt.batch_delete([0])
         assert not hdt.edge_alive(0)
         assert hdt.edge_alive(1)

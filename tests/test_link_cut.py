@@ -74,11 +74,6 @@ class TestPaths:
         f = self.build_tree([(0, i) for i in range(1, 5)])
         assert f.path(1, 2) == [1, 0, 2]
 
-    def test_path_length(self):
-        f = self.build_tree([(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert f.path_length(0, 4) == 5
-        assert f.path_length(2, 2) == 1
-
     def test_path_disconnected_raises(self):
         f = LinkCutForest(4)
         f.link(0, 1)

@@ -81,7 +81,7 @@ class TestTracer:
         assert (b.t0, b.dur) == (3.0, 1.0)
 
     def test_tracked_work_span_deltas(self):
-        t = Tracker(fork_overhead=False)
+        t = Tracker()
         trc = Tracer(tracker=t, clock=FakeClock())
         t.op(5)  # before the span: must not be attributed to it
         with trc.span("outer"):
@@ -269,7 +269,7 @@ class TestRuntime:
 
 
 def _sample_tracer() -> tuple[Tracer, Metrics]:
-    t = Tracker(fork_overhead=False)
+    t = Tracker()
     trc = Tracer(tracker=t, clock=FakeClock(), backend="numpy")
     mtr = Metrics()
     with trc.span("parallel_dfs", n=10):

@@ -15,6 +15,7 @@ or metric call sneaking into a per-element loop) shows up as a
 consistent, large gap that no retry masks.
 """
 
+import gc
 import random
 import time
 
@@ -52,21 +53,27 @@ def _run_traced(g) -> float:
 def _guard(run_plain, run_instrumented, label):
     """Interleaved best-of-N comparison with retries (shared helper).
 
-    The order inside a pair alternates. CPython's full collection comes
-    due on a fixed allocation period; when one plain + instrumented pair
-    spans about that period, a fixed order puts the collection on the
-    same side in every pair. Alternating spreads it over both sides, and
-    every run still pays whatever collection lands in it."""
+    Every timed run starts from a fresh ``gc.collect()`` (off the clock,
+    on both sides). A run still pays the collections its own allocations
+    trigger, but no longer inherits a full collection that earlier runs
+    made due: where such a collection lands would otherwise decide which
+    side its pause falls on. The order inside a pair alternates too, so
+    slow drift is shared between the sides."""
+
+    def fresh(run):
+        gc.collect()
+        return run()
+
     overheads = []
     for _ in range(ATTEMPTS):
         plain, instrumented = [], []
         for k in range(RUNS_PER_SIDE):  # interleave to share drift
             if k % 2:
-                instrumented.append(run_instrumented())
-                plain.append(run_plain())
+                instrumented.append(fresh(run_instrumented))
+                plain.append(fresh(run_plain))
             else:
-                plain.append(run_plain())
-                instrumented.append(run_instrumented())
+                plain.append(fresh(run_plain))
+                instrumented.append(fresh(run_instrumented))
         overhead = min(instrumented) / min(plain) - 1.0
         overheads.append(overhead)
         if overhead < BUDGET:

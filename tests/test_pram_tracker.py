@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pram.tracker import Cost, Tracker, brent_time, brent_time_bounds, log2_ceil
+from repro.pram.tracker import Cost, Tracker, brent_time_bounds, log2_ceil
 
 
 class TestLog2Ceil:
@@ -36,7 +36,8 @@ class TestCost:
 
 class TestBrent:
     def test_single_processor_equals_work(self):
-        assert brent_time(100, 10, 1) == 110  # W/1 + D upper bound
+        _, hi = brent_time_bounds(100, 10, 1)
+        assert hi == 110  # W/1 + D upper bound
 
     def test_bounds_ordering(self):
         lo, hi = brent_time_bounds(1000, 10, 8)
@@ -50,7 +51,7 @@ class TestBrent:
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
-            brent_time(1, 1, 0)
+            brent_time_bounds(1, 1, 0)
         with pytest.raises(ValueError):
             brent_time_bounds(1, 1, -1)
 
@@ -72,10 +73,9 @@ class TestTrackerSequential:
     def test_reset(self):
         t = Tracker()
         t.op(10)
-        with t.region("r"):
-            t.op(1)
+        t.parallel_for([1, 2], lambda w: t.op(w))
         t.reset()
-        assert t.work == 0 and t.span == 0 and t.regions == {}
+        assert t.work == 0 and t.span == 0
 
 
 class TestTrackerParallel:
@@ -91,12 +91,6 @@ class TestTrackerParallel:
         # span: max(1,5,3) + ceil(log2 3) + 1 = 5 + 2 + 1
         assert t.span == 8
 
-    def test_parallel_for_without_fork_overhead(self):
-        t = Tracker(fork_overhead=False)
-        t.parallel_for([2, 4], lambda w: t.op(w))
-        assert t.work == 6
-        assert t.span == 4
-
     def test_empty_parallel_for(self):
         t = Tracker()
         assert t.parallel_for([], lambda x: x) == []
@@ -108,35 +102,31 @@ class TestTrackerParallel:
         assert out == [30, 10, 20]
 
     def test_nested_parallel_for(self):
-        t = Tracker(fork_overhead=False)
+        t = Tracker()
 
         def outer(i):
             t.parallel_for([1, 2], lambda w: t.op(w))
 
         t.parallel_for([0, 1], outer)
-        # each outer branch: work 3, span 2; two branches
-        assert t.work == 6
-        assert t.span == 2
+        # each outer branch: work 3 + 2 fork, span 2 + ceil(log2 2) + 1
+        # = 4; two branches add 2 fork work and 1 + 1 fork span
+        assert t.work == 2 * 5 + 2
+        assert t.span == 4 + 2
 
     def test_parallel_thunks(self):
-        t = Tracker(fork_overhead=False)
+        t = Tracker()
         r = t.parallel(lambda: (t.op(2), "a")[1], lambda: (t.op(7), "b")[1])
         assert r == ["a", "b"]
-        assert t.span == 7
-        assert t.work == 9
-
-    def test_parallel_for_enumerated(self):
-        t = Tracker()
-        out = t.parallel_for_enumerated(["x", "y"], lambda i, s: f"{i}{s}")
-        assert out == ["0x", "1y"]
+        assert t.span == 7 + 2  # max branch + ceil(log2 2) + 1
+        assert t.work == 9 + 2  # branches + one fork op per branch
 
     def test_sequential_then_parallel_composes(self):
-        t = Tracker(fork_overhead=False)
+        t = Tracker()
         t.op(10)
         t.parallel_for([5, 3], lambda w: t.op(w))
         t.op(2)
-        assert t.span == 10 + 5 + 2
-        assert t.work == 10 + 8 + 2
+        assert t.span == 10 + (5 + 2) + 2
+        assert t.work == 10 + (8 + 2) + 2
 
 
 class TestParallelOps:
@@ -144,11 +134,10 @@ class TestParallelOps:
     makes for its commit and kill passes: it must equal ``parallel_for``
     over the same number of one-op branches, exactly."""
 
-    @pytest.mark.parametrize("fork_overhead", [True, False])
-    def test_equals_parallel_for_of_unit_branches(self, fork_overhead):
+    def test_equals_parallel_for_of_unit_branches(self):
         for k in list(range(0, 20)) + [31, 32, 33, 1000]:
-            ref = Tracker(fork_overhead=fork_overhead)
-            agg = Tracker(fork_overhead=fork_overhead)
+            ref = Tracker()
+            agg = Tracker()
             ref.charge(5, 7)  # a nonzero starting point
             agg.charge(5, 7)
             ref.parallel_for(range(k), lambda _: ref.op(1))
@@ -157,27 +146,6 @@ class TestParallelOps:
 
 
 class TestMeasurement:
-    def test_measure_block(self):
-        t = Tracker(fork_overhead=False)
-        t.op(5)
-        with t.measure() as c:
-            t.op(3)
-            t.parallel_for([1, 1], lambda w: t.op(w))
-        assert c.work == 5
-        assert c.span == 4
-        assert t.work == 10
-
-    def test_region_totals(self):
-        t = Tracker(fork_overhead=False)
-        with t.region("phase"):
-            t.op(3)
-        with t.region("phase"):
-            t.op(4)
-        rep = t.region_report()
-        assert rep["phase"]["work"] == 7
-        assert rep["phase"]["span"] == 7
-        assert rep["phase"]["calls"] == 2
-
     def test_snapshot(self):
         t = Tracker()
         t.op(2)
@@ -192,23 +160,10 @@ class TestMeasurement:
         work, span = t.snapshot()
         assert (work, span) == (3, 3)
 
-    def test_delta_since_snapshot(self):
-        t = Tracker(fork_overhead=False)
-        t.op(5)
-        before = t.snapshot()
-        t.op(3)
-        t.parallel_for([1, 1], lambda w: t.op(w))
-        d = t.delta(before)
-        assert (d.work, d.span) == (5, 4)
-        # empty interval: delta of a fresh snapshot is zero
-        now = t.snapshot()
-        z = t.delta(now)
-        assert (z.work, z.span) == (0, 0)
-
-    def test_snapshot_and_delta_charge_nothing(self):
+    def test_snapshot_charges_nothing(self):
         # the observability reads must not perturb what they measure
         t = Tracker()
         t.op(7)
         for _ in range(100):
-            t.delta(t.snapshot())
+            t.snapshot()
         assert (t.work, t.span) == (7, 7)

@@ -119,11 +119,7 @@ class TestCostBounds:
 class TestDispatch:
     def test_prefix_sums_on_lists_dispatch(self):
         vs, prv, vals = build_lists([4])
-        for method in ("wyllie", "anderson-miller"):
+        for backend in ("tracked", "numpy"):
             t = Tracker()
-            got = prefix_sums_on_lists(t, vs, prv, vals.__getitem__, method=method)
+            got = prefix_sums_on_lists(t, vs, prv, vals.__getitem__, backend=backend)
             assert got == {v: v + 1 for v in vs}
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            prefix_sums_on_lists(Tracker(), [], {}, lambda v: 1, method="bogus")

@@ -28,7 +28,6 @@ from repro.graph import Graph
 from repro.graph import generators as G
 from repro.graph.connectivity import component_sizes, connected_components
 from repro.kernels import subgraph
-from repro.kernels.subgraph import induced_subgraph_np
 from repro.obs import Tracer, activate
 from repro.pram import Tracker
 from repro.pram.tracker import log2_ceil
@@ -97,7 +96,7 @@ def _check_via_induced_graph(g, paths):
     t.charge(g.n + sum(map(len, paths)), log2_ceil(max(2, g.n)) + 1)
     if not keep:
         return True, t.snapshot()
-    h, _ = induced_subgraph_np(g, keep, order="edge")
+    h, _ = g.subgraph(keep)
     t.charge(g.m, log2_ceil(max(2, g.m)))
     labels = connected_components(h, t, backend="numpy")
     sizes = component_sizes(labels, t, backend="numpy")
@@ -229,25 +228,6 @@ class TestMergePathsParity:
         assert steps > 3 and p1
         assert any(s[3] for s in states)  # some extension vertex died
         assert any(s[2] for s in states)  # some original vertex died
-
-    @pytest.mark.parametrize("fork_overhead", [True, False])
-    def test_fork_overhead_setting_is_honoured(self, monkeypatch, fork_overhead):
-        g = _GRAPHS["spider"]()
-        longs, shorts = _long_short(g, 1)
-
-        def run():
-            t = Tracker(fork_overhead=fork_overhead)
-            merge_paths(
-                g, t, copy.deepcopy(longs), copy.deepcopy(shorts),
-                random.Random(1), 1.0, backend="numpy",
-            )
-            return t.snapshot()
-
-        array = run()
-        monkeypatch.setattr(
-            path_merge, "_merge_steps_arrays", _objects_instead_of_arrays
-        )
-        assert run() == array
 
 
 # ----------------------------------------------------------------------

@@ -334,8 +334,6 @@ class TestServiceHandle:
         # rejected before any graph loads, not per dfs as compute_error
         with pytest.raises(ValueError, match="unknown absorption structure"):
             DFSService(ServiceConfig(structure=name))
-        with pytest.raises(ValueError, match="unknown absorption structure"):
-            GraphStore(structure=name)
 
     def test_ping_load_dfs_lockstep(self):
         async def main():

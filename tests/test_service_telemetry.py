@@ -267,23 +267,6 @@ class TestAnomalies:
         assert rec.tracer is tr and rec.metrics is mtr
         assert any(s.name == "service.compute" for s in tr.spans)
 
-    def test_flight_recorder_can_be_disabled(self):
-        config = ServiceConfig(flight_recorder=False)
-
-        async def main():
-            async with ServiceHandle(config) as h:
-                await load_ring(h)
-                resp = await h.request(
-                    {"op": "dfs", "graph": "g", "root": 0}
-                )
-                assert resp["ok"]
-                stats = await h.request({"op": "stats"})
-                return h.service.recorder, stats
-
-        rec, stats = run(main())
-        assert rec is None
-        assert "flight" not in stats["server"]
-
 
 # ----------------------------------------------------------------------
 # the zero-overhead contract: byte-identity with the recorder on

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -157,37 +158,44 @@ class ETTMachine(_ForestMachineBase):
 
 
 class HDTMachine(RuleBasedStateMachine):
-    """HDT with interleaved inserts/deletes vs the recompute model."""
+    """HDT under random batch deletions from a random connected graph vs
+    the recompute model (HDT only ever deletes: Theorem 3.2 absorbs)."""
 
-    def __init__(self):
-        super().__init__()
-        self.impl = HDTConnectivity(Graph(N, []))
-        self.live: dict[int, tuple[int, int]] = {}
-
-    vertices = st.integers(0, N - 1)
-
-    @rule(u=vertices, v=vertices)
-    def insert(self, u, v):
-        if u == v:
-            return
-        key = (min(u, v), max(u, v))
-        if key in self.live.values():
-            return
-        eid = self.impl.insert_edge(u, v)
-        self.live[eid] = key
+    @initialize(seed=st.integers(0, 2**16))
+    def load(self, seed):
+        g = G.gnm_random_connected_graph(N, 2 * N, seed=seed)
+        self.impl = HDTConnectivity(g)
+        self.live: dict[int, tuple[int, int]] = dict(enumerate(g.edges))
 
     @precondition(lambda self: self.live)
     @rule(data=st.data())
     def delete(self, data):
-        eid = data.draw(st.sampled_from(sorted(self.live)))
-        self.impl.delete_edge(eid)
-        del self.live[eid]
+        eids = data.draw(
+            st.lists(st.sampled_from(sorted(self.live)), min_size=1,
+                     max_size=3, unique=True)
+        )
+        self.impl.batch_delete(sorted(eids))
+        for eid in eids:
+            del self.live[eid]
 
-    @rule(u=vertices, v=vertices)
+    @rule(u=st.integers(0, N - 1), v=st.integers(0, N - 1))
     def query(self, u, v):
+        # always enabled, so a run outlives the last deletion
+        assert self.impl.connected(u, v) == (v in self._model().component(u))
+
+    def _model(self):
         model = _ForestModel(N)
         model.edges = set(self.live.values())
-        assert self.impl.connected(u, v) == model.connected(u, v)
+        return model
+
+    @invariant()
+    def matches_model(self):
+        model = self._model()
+        for u in range(N):
+            comp = model.component(u)
+            for v in range(N):
+                assert self.impl.connected(u, v) == (v in comp)
+        self.impl.check_invariants()
 
 
 class FlatForestMachine(RuleBasedStateMachine):

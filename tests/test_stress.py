@@ -117,31 +117,28 @@ class TestAllBackendCombos:
 
 
 class TestSubstrateMixedWorkloads:
-    def test_hdt_insert_delete_interleaved(self):
+    def test_hdt_random_deletions_match_recompute(self):
+        # HDT only ever deletes (Theorem 3.2's absorption): tear a random
+        # connected graph down edge by edge against the recompute model
         rng = random.Random(31)
         g = G.gnm_random_connected_graph(40, 80, seed=31)
         hdt = HDTConnectivity(g)
-        live = set(range(g.m))
-        extra = []
-        for step in range(150):
-            if rng.random() < 0.45 and live:
-                eid = rng.choice(sorted(live))
-                hdt.delete_edge(eid)
-                live.discard(eid)
-            else:
-                u, v = rng.randrange(40), rng.randrange(40)
-                if u != v:
-                    key = (min(u, v), max(u, v))
-                    if all(
-                        hdt.endpoints[e] != key or not hdt.alive[e]
-                        for e in range(len(hdt.endpoints))
-                    ):
-                        eid = hdt.insert_edge(u, v)
-                        live.add(eid)
-                        extra.append(eid)
-            if step % 30 == 29:
-                hdt.check_invariants()
-        hdt.check_invariants()
+        order = list(range(g.m))
+        rng.shuffle(order)
+        alive = set(order)
+        for eid in order:
+            hdt.batch_delete([eid])
+            alive.discard(eid)
+            comps = Graph(g.n, [g.edges[e] for e in sorted(alive)])
+            label = {}
+            for comp in comps.connected_components_seq():
+                for v in comp:
+                    label[v] = comp[0]
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    assert hdt.connected(u, v) == (label[u] == label[v])
+            hdt.check_invariants()
+        assert all(hdt.component_size(v) == 1 for v in range(g.n))
 
     def test_absorption_structure_star_of_paths(self):
         g = spider_graph(8, 8)
