@@ -14,7 +14,7 @@ import random
 
 from conftest import publish
 
-from repro.core.path_merge import merge_paths
+from repro.core.path_merge import FlatPaths, merge_paths
 from repro.core.reduction import _assemble_merged
 from repro.graph.graph import Graph
 from repro.pram import Tracker
@@ -42,7 +42,10 @@ def run_experiment():
     longs = [[0, 1, 2], [10, 11]]
     shorts = [[5, 6, 7, 8, 9]]
     res = merge_paths(g, t, longs, shorts, rng, threshold=1.0)
-    merged, remaining = _assemble_merged(g, t, res, shorts, rng)
+    merged, remaining = (
+        p.tolist()
+        for p in _assemble_merged(g, t, res, FlatPaths.from_lists(shorts), rng)
+    )
     return g, longs, shorts, res, merged, remaining
 
 

@@ -10,7 +10,7 @@ Run:  python examples/figure1_path_merging.py
 
 import random
 
-from repro.core.path_merge import merge_paths
+from repro.core.path_merge import FlatPaths, merge_paths
 from repro.core.reduction import _assemble_merged
 from repro.graph.graph import Graph
 from repro.pram import Tracker
@@ -50,7 +50,10 @@ def main() -> None:
                   "(dead vertices)")
     print()
 
-    merged, remaining = _assemble_merged(g, t, res, shorts, rng)
+    merged, remaining = (
+        p.tolist()
+        for p in _assemble_merged(g, t, res, FlatPaths.from_lists(shorts), rng)
+    )
     print("after the round (Figure 1, right):")
     print(f"  merged paths l' p s'      = {merged}")
     print(f"  surviving short piece s'' = {remaining}")

@@ -26,6 +26,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import Sequence
+
+import numpy as np
 
 from ..graph.graph import Graph
 from ..kernels.dispatch import is_array_backend, resolve_backend
@@ -35,7 +38,55 @@ from ..structures.adjacency_query import ActiveNeighborStructure
 from ..structures.flat_neighbors import FlatActiveNeighborStructure
 from ..structures.naive_active import NaiveActiveNeighborStructure
 
-__all__ = ["MergeResult", "LongState", "merge_paths"]
+__all__ = ["FlatPaths", "MergeResult", "LongState", "merge_paths"]
+
+
+class FlatPaths:
+    """A list of paths as one vertex array plus offsets: path ``i`` is
+    ``flat[off[i]:off[i + 1]]``.  The Lemma 4.1 round keeps L, S and the
+    connector set P in this form from one merge to the next."""
+
+    __slots__ = ("flat", "off")
+
+    def __init__(self, flat: np.ndarray, off: np.ndarray) -> None:
+        self.flat = flat
+        self.off = off
+
+    @classmethod
+    def from_lists(cls, paths: Sequence[Sequence[int]]) -> "FlatPaths":
+        k = len(paths)
+        off = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, paths), np.int64, k), out=off[1:])
+        flat = np.fromiter(chain.from_iterable(paths), np.int64, int(off[-1]))
+        return cls(flat, off)
+
+    @classmethod
+    def gather(
+        cls,
+        pool: np.ndarray,
+        starts: np.ndarray,
+        lens: np.ndarray,
+        steps: np.ndarray,
+    ) -> "FlatPaths":
+        """One path per run: run ``i`` is ``pool[starts[i] + steps[i] * j]``
+        for ``j < lens[i]`` (``steps`` is +1 or -1), all in a few
+        whole-array passes."""
+        off = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=off[1:])
+        run = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
+        j = np.arange(int(off[-1]), dtype=np.int64) - off[run]
+        return cls(pool[starts[run] + steps[run] * j], off)
+
+    def __len__(self) -> int:
+        return self.off.size - 1
+
+    def lens(self) -> np.ndarray:
+        return np.diff(self.off)
+
+    def tolist(self) -> list[list[int]]:
+        flat = self.flat.tolist()
+        off = self.off.tolist()
+        return [flat[lo:hi] for lo, hi in zip(off, off[1:])]  # repro-lint: disable=R001 (output extraction, charged by the caller)
 
 
 @dataclass
@@ -58,92 +109,204 @@ class LongState:
     @property
     def extension(self) -> list[int]:
         """The connector piece p (without the anchor x)."""
-        n_orig_survive = sum(1 for v in self.cur if v in self._orig_set)
-        return self.cur[n_orig_survive:]
+        # cur is a surviving prefix of orig followed by the extension
+        return self.cur[len(set(self.orig).intersection(self.cur)):]
 
-    @property
-    def _orig_set(self) -> set[int]:
-        return set(self.orig)
+
+#: long-path status codes of the array form (index into _STATUS)
+_ACTIVE, _SUCCEEDED, _DEAD = 0, 1, 2
+_STATUS = ("active", "succeeded", "dead")
 
 
 @dataclass
 class MergeResult:
-    longs: list[LongState]
+    """The merge's outcome, with the connector set P in array form.
+
+    Long path ``i`` keeps the first ``olen[i]`` vertices of its original
+    path ``orig[i]``, followed by its connector piece ``ext[i]`` (the
+    surviving extension, in path order).  ``status[i]`` is a code of
+    ``_STATUS``; a succeeded path reached short path ``joined_si[i]`` at
+    contact vertex ``joined_y[i]`` (both -1 otherwise).  ``kill_li`` and
+    ``kill_v`` list the backtracking kills in order, as (long path,
+    vertex) pairs.  The per-path :class:`LongState` view ``longs`` is
+    built on first access only.
+    """
+
+    orig: FlatPaths
+    olen: np.ndarray
+    ext: FlatPaths
+    status: np.ndarray
+    joined_si: np.ndarray
+    joined_y: np.ndarray
+    kill_li: np.ndarray
+    kill_v: np.ndarray
     #: indices of succeeded long paths (P1) / still-active ones (P2)
     p1: list[int] = field(default_factory=list)
     p2: list[int] = field(default_factory=list)
     #: short path indices that were joined (Ŝ)
     joined_shorts: set[int] = field(default_factory=set)
     steps: int = 0
+    _longs: list[LongState] | None = field(default=None, repr=False)
+
+    @property
+    def longs(self) -> list[LongState]:
+        if self._longs is None:
+            self._longs = _states_of(self)
+        return self._longs
 
 
-def _contracted_arrays_np(
-    g: Graph,
-    members,
-    member_short,
-    contract_base: int,
-    n_short: int,
+def _grouped(n: int, keys: np.ndarray, vals: np.ndarray) -> FlatPaths:
+    """``vals`` split by ``keys`` into one path per key ``0..n-1``, each
+    in its original (step) order."""
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=off[1:])
+    return FlatPaths(vals[np.argsort(keys, kind="stable")], off)
+
+
+def _states_of(res: MergeResult) -> list[LongState]:
+    """The :class:`LongState` view of an array-form result."""
+    n = len(res.orig)
+    # an extension vertex is never an original vertex of any long path
+    # (those start inactive), so membership in L decides the kind of kill
+    on_l = np.isin(res.kill_v, res.orig.flat)
+    killed_orig = _grouped(n, res.kill_li[on_l], res.kill_v[on_l]).tolist()
+    killed_ext = _grouped(n, res.kill_li[~on_l], res.kill_v[~on_l]).tolist()
+    rows = zip(
+        res.orig.tolist(), res.olen.tolist(), res.ext.tolist(), killed_orig,
+        killed_ext, res.status.tolist(), res.joined_si.tolist(),
+        res.joined_y.tolist(),
+    )
+    return [  # repro-lint: disable=R001 (output extraction, charged by the merge loop)
+        LongState(
+            orig=o, cur=o[:ol] + ex, killed_orig=ko, killed_ext=ke,
+            status=_STATUS[sc],
+            joined_short=(si, y) if sc == _SUCCEEDED else None,
+        )
+        for o, ol, ex, ko, ke, sc, si, y in rows
+    ]
+
+
+def _result_of_states(
+    states: list[LongState],
+    orig: FlatPaths,
+    p1: list[int],
+    p2: list[int],
+    joined_shorts: set[int],
+    steps: int,
+) -> MergeResult:
+    """The array form of the object loop's final states."""
+    exts: list[list[int]] = []
+    olen: list[int] = []
+    status: list[int] = []
+    joined_si: list[int] = []
+    joined_y: list[int] = []
+    kill_li: list[int] = []
+    kill_v: list[int] = []
+    for i, st in enumerate(states):  # repro-lint: disable=R001 (output extraction, charged by the merge loop)
+        ext = st.extension
+        exts.append(ext)
+        olen.append(len(st.cur) - len(ext))
+        status.append(_STATUS.index(st.status))
+        si, y = st.joined_short or (-1, -1)
+        joined_si.append(si)
+        joined_y.append(y)
+        # the kills grouped by kind, as the LongState view groups them
+        kills = st.killed_orig + st.killed_ext
+        kill_li.extend([i] * len(kills))
+        kill_v.extend(kills)
+    return MergeResult(
+        orig=orig,
+        olen=np.array(olen, dtype=np.int64),
+        ext=FlatPaths.from_lists(exts),
+        status=np.array(status, dtype=np.int8),
+        joined_si=np.array(joined_si, dtype=np.int64),
+        joined_y=np.array(joined_y, dtype=np.int64),
+        kill_li=np.array(kill_li, dtype=np.int64),
+        kill_v=np.array(kill_v, dtype=np.int64),
+        p1=p1, p2=p2, joined_shorts=joined_shorts, steps=steps,
+        _longs=states,
+    )
+
+
+def _contracted_arrays(
+    g: Graph, members: np.ndarray, member_short: np.ndarray, n_short: int
 ):
-    """Vectorized G' construction — identical to the tracked edge loop.
+    """G' as CSR arrays — the same graph, adjacency order and contact
+    map as the tracked edge loop, without sorting g's edges.
 
-    ``members[j]`` lies on short path ``member_short[j]``.  Returns
-    ``(indptr, dsts, eids, ckeys, cvals)``: the adjacency of the edge
-    list ``sorted(gp_edges)`` (same edge ids) as CSR arrays in exactly
-    ``_add_edge``'s append order (edge-id order per vertex), and the
-    tracked ``contact`` map as parallel arrays —
-    ``cvals[i]`` is the contact for the sorted key
-    ``ckeys[i] = real * big_n + contracted`` (first occurrence in edge
-    order wins, a-endpoint before b-endpoint within one edge —
-    replicated with a stable first-occurrence reduction).
+    ``members[j]`` lies on short path ``member_short[j]``; G' ids are
+    ``0..n-1`` for real vertices and ``n + si`` for short ``si``.  Each
+    G' list is in edge-id order, which for the sorted edge list
+    ``sorted(gp_edges)`` is ascending neighbor order; so the CSR slots
+    are the distinct G' arcs sorted by code ``tail * big + head``.
+    g's arcs come pre-sorted (:meth:`~repro.graph.csr.CSRGraph.
+    sorted_arcs`): an arc off the shorts keeps its code's relative
+    order, and only the arcs onto shorts are re-coded, sorted and
+    deduplicated, then merged in.  Returns ``(indptr, nbr, mirror,
+    ckeys, cvals)``: the CSR arrays, the twin-slot permutation, and the
+    contact map as sorted keys ``real * big + contracted`` with the
+    short endpoint of the lowest-id g edge between them.
     """
-    import numpy as np
-
-    big_n = contract_base + n_short
-    csr = g.csr()
-    vmap = np.arange(big_n, dtype=np.int64)
-    vmap[members] = contract_base + member_short
-    a = vmap[csr.edge_u]
-    b = vmap[csr.edge_v]
-    keep = a != b
-    lo = np.minimum(a, b)[keep]
-    hi = np.maximum(a, b)[keep]
-    codes = np.unique(lo * big_n + hi)
-    eu = codes // big_n
-    ev = codes % big_n
-    mp = codes.size
-    # adjacency in edge-id order, exactly _add_edge's append order
-    src = np.concatenate([eu, ev])
-    dst = np.concatenate([ev, eu])
-    eid2 = np.concatenate([np.arange(mp), np.arange(mp)])
-    order = np.lexsort((eid2, src))
-    indptr = np.zeros(big_n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=big_n), out=indptr[1:])
-    dsts = dst[order]
-    eids = eid2[order]
-
-    # contact: (real endpoint, contracted id) -> concrete short vertex,
-    # first occurrence in (edge index, a-branch-then-b-branch) order
-    m = csr.edge_u.size
-    ckeys = np.full(2 * m, -1, dtype=np.int64)
-    cvals = np.empty(2 * m, dtype=np.int64)
-    mask_a = (a >= contract_base) & (a != b)
-    mask_b = (b >= contract_base) & (a != b)
-    ckeys[0::2][mask_a] = b[mask_a] * big_n + a[mask_a]
-    cvals[0::2][mask_a] = csr.edge_u[mask_a]
-    ckeys[1::2][mask_b] = a[mask_b] * big_n + b[mask_b]
-    cvals[1::2][mask_b] = csr.edge_v[mask_b]
-    valid = ckeys >= 0
-    ckeys = ckeys[valid]
-    cvals = cvals[valid]
-    uniq, first = np.unique(ckeys, return_index=True)
-    return indptr, dsts, eids, uniq, cvals[first]
+    n = g.n
+    big = n + n_short
+    tail, head, eid, twin = g.csr().sorted_arcs()
+    vmap = np.arange(n, dtype=np.int64)
+    vmap[members] = n + member_short
+    a = vmap[tail]
+    b = vmap[head]
+    moved = (a >= n) | (b >= n)
+    stay = np.flatnonzero(~moved)
+    s_codes = a[stay] * big + b[stay]
+    # arcs onto a short: re-code; an arc inside one short vanishes, and
+    # the parallel arcs between a vertex and one short become one arc
+    mv = np.flatnonzero(moved & (a != b))
+    codes = a[mv] * big + b[mv]
+    o = np.argsort(codes)
+    sc = codes[o]
+    first = np.ones(sc.size, dtype=bool)
+    np.not_equal(sc[1:], sc[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    m_codes = sc[starts]
+    # a merged arc's twin is the merged arc holding its first member's
+    # reverse; ``where`` maps a g arc to its index among stay or mv
+    gid = np.empty(sc.size, dtype=np.int64)
+    gid[o] = np.cumsum(first) - 1
+    where = np.empty(tail.size, dtype=np.int64)
+    where[stay] = np.arange(stay.size, dtype=np.int64)
+    where[mv] = np.arange(mv.size, dtype=np.int64)
+    m_twin = gid[where[twin[mv[o[starts]]]]]
+    # merge the two sorted code runs
+    pos_m = np.searchsorted(s_codes, m_codes) + np.arange(m_codes.size)
+    total = s_codes.size + m_codes.size
+    is_m = np.zeros(total, dtype=bool)
+    is_m[pos_m] = True
+    pos_s = np.flatnonzero(~is_m)
+    all_codes = np.empty(total, dtype=np.int64)
+    all_codes[pos_s] = s_codes
+    all_codes[pos_m] = m_codes
+    mirror = np.empty(total, dtype=np.int64)
+    mirror[pos_s] = pos_s[where[twin[stay]]]
+    mirror[pos_m] = pos_m[m_twin]
+    owner = all_codes // big
+    indptr = np.zeros(big + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=big), out=indptr[1:])
+    # contact of (real x, short c): over the arcs x -> y with y on c,
+    # the y of the lowest edge id
+    to_short = (m_codes < n * big) & (m_codes % big >= n)
+    ckeys = m_codes[to_short]
+    if sc.size:
+        ykey = np.minimum.reduceat((eid[mv] * n + head[mv])[o], starts)
+        cvals = ykey[to_short] % n
+    else:
+        cvals = ckeys
+    return indptr, all_codes - owner * big, mirror, ckeys, cvals
 
 
 def merge_paths(
     g: Graph,
     t: Tracker,
-    long_paths: list[list[int]],
-    short_paths: list[list[int]],
+    long_paths: Sequence[Sequence[int]] | FlatPaths,
+    short_paths: Sequence[Sequence[int]] | FlatPaths,
     rng: random.Random,
     threshold: float | None = None,
     neighbor_structure: str = "tournament",
@@ -151,6 +314,7 @@ def merge_paths(
 ) -> MergeResult:
     """Run the Section 4.2 path-merging process. Returns the final states.
 
+    The paths come as lists of vertex lists or as :class:`FlatPaths`.
     ``threshold`` is the active-head count below which the process stops
     (default ``sqrt(g.n)``; ablation E4 sweeps it).
     ``neighbor_structure`` selects the Lemma 4.5 structure ("tournament",
@@ -166,6 +330,12 @@ def merge_paths(
     if threshold is None:
         threshold = max(1.0, n ** 0.5)
     max_steps = 4 * n + 16
+    if not isinstance(long_paths, FlatPaths):
+        long_paths = FlatPaths.from_lists(long_paths)
+    if not isinstance(short_paths, FlatPaths):
+        short_paths = FlatPaths.from_lists(short_paths)
+    n_short = len(short_paths)
+    members = short_paths.flat
 
     # ------------------------------------------------------------------
     # build the auxiliary graph G' with short paths contracted
@@ -176,38 +346,27 @@ def merge_paths(
     array_engine = (
         is_array_backend(kb) and g.m > 0 and neighbor_structure == "tournament"
     )
-    n_short_members = sum(map(len, short_paths))
-    if array_engine:
-        import numpy as np
-
-        members = np.fromiter(
-            chain.from_iterable(short_paths), np.int64, n_short_members
-        )
-        member_short = np.repeat(
-            np.arange(len(short_paths), dtype=np.int64),
-            np.fromiter(map(len, short_paths), np.int64, len(short_paths)),
-        )
-    else:
+    if not array_engine:
         on_short = {}  # orig vertex -> short index
-        for si, s in enumerate(short_paths):
+        for si, s in enumerate(short_paths.tolist()):
             for v in s:
                 on_short[v] = si
-    t.charge(n_short_members, 1)
+    t.charge(int(members.size), 1)
     # G' ids: 0..n-1 for real vertices (short members unused), then one id
     # per short path
     contract_base = n
-    gp_n = contract_base + len(short_paths)
+    gp_n = contract_base + n_short
     t.charge(g.m, log2_ceil(max(2, g.m)) + 1)
-    gp: Graph | None = None
-    gp_csr = None
     if array_engine:
         # all-array path: keep G' as CSR arrays and build the flat
         # neighbor structure straight from them — no intermediate Graph
         # with Python adjacency lists
-        indptr, dsts, eids2, ckeys, cvals = _contracted_arrays_np(
-            g, members, member_short, contract_base, len(short_paths)
+        member_short = np.repeat(
+            np.arange(n_short, dtype=np.int64), short_paths.lens()
         )
-        gp_csr = (indptr, dsts, eids2)
+        indptr, nbr, mirror, ckeys, cvals = _contracted_arrays(
+            g, members, member_short, n_short
+        )
     else:
         gp_edges: set[tuple[int, int]] = set()
         # (real G' endpoint, contracted id) -> a concrete contact vertex
@@ -228,15 +387,15 @@ def merge_paths(
                 contact.setdefault((b, a), u)
             if b >= contract_base:
                 contact.setdefault((a, b), v)
-        gp = Graph(contract_base + len(short_paths), sorted(gp_edges))
+        gp = Graph(gp_n, sorted(gp_edges))
     t.charge(0, log2_ceil(max(2, g.m)))  # dedup via parallel hashing
 
     if neighbor_structure == "tournament":
         # tournament trees under the tracked engine, the flat CSR twin
         # under numpy — identical answers (see structures/flat_neighbors.py)
-        if gp_csr is not None:
+        if array_engine:
             ans = FlatActiveNeighborStructure.from_csr(
-                gp_n, gp_csr[0], gp_csr[1], gp_csr[2], tracker=t
+                gp_n, indptr, nbr, mirror, tracker=t
             )
         elif is_array_backend(kb):
             ans = FlatActiveNeighborStructure(gp, tracker=t)
@@ -251,20 +410,17 @@ def merge_paths(
     # members' real ids are unused in G' — deactivate them so queries can
     # never return them (they exist as padding ids only)
     if array_engine:
-        long_members = np.fromiter(
-            chain.from_iterable(long_paths), np.int64,
-            sum(map(len, long_paths)),
-        )
-        padding = np.unique(members)
+        # the paths are vertex-disjoint, so no id repeats
+        long_members, padding = long_paths.flat, members
     else:
-        long_members = [v for l in long_paths for v in l]
-        padding = sorted(set(on_short))
+        long_members = long_paths.flat.tolist()
+        padding = sorted(on_short)
     if len(long_members):
         ans.make_inactive(long_members)
     if len(padding):
         ans.make_inactive(padding)
 
-    if gp_csr is not None:
+    if array_engine:
         return _merge_steps_arrays(
             t, ans, long_paths, (ckeys, cvals), contract_base, gp_n,
             threshold, max_steps, rng, backend,
@@ -278,7 +434,7 @@ def merge_paths(
 def _merge_steps_objects(
     t: Tracker,
     ans,
-    long_paths: list[list[int]],
+    long_paths: FlatPaths,
     contact: dict[tuple[int, int], int],
     contract_base: int,
     gp_n: int,
@@ -288,16 +444,18 @@ def _merge_steps_objects(
     backend: str | None,
 ) -> MergeResult:
     """The merging process over per-path :class:`LongState` objects."""
+    orig_lists = long_paths.tolist()
     longs = [
-        LongState(orig=list(l), cur=list(l), killed_orig=[], killed_ext=[])
-        for l in long_paths
+        LongState(orig=l, cur=list(l), killed_orig=[], killed_ext=[])
+        for l in orig_lists
     ]
     for st in longs:
         st.status = "active" if st.cur else "dead"
     t.charge(len(longs) + 1, 1)
 
-    orig_sets = [set(l) for l in long_paths]
-    result = MergeResult(longs=longs)
+    orig_sets = [set(l) for l in orig_lists]
+    p1: list[int] = []
+    joined_shorts: set[int] = set()
 
     active = [i for i, st in enumerate(longs) if st.status == "active"]
 
@@ -374,8 +532,8 @@ def _merge_steps_objects(
                 y = contact[(head, v)]
                 st.status = "succeeded"
                 st.joined_short = (si, y)
-                result.p1.append(li)
-                result.joined_shorts.add(si)
+                p1.append(li)
+                joined_shorts.add(si)
             else:
                 st.cur.append(v)
 
@@ -401,21 +559,16 @@ def _merge_steps_objects(
     # paths still attempting when the threshold fired are the P2 set
     for i in active:
         longs[i].status = "active"
-        result.p2.append(i)
     t.charge(len(active) + 1, 1)
-    result.steps = steps
-    return result
-
-
-#: long-path status codes of the array loop (index into _STATUS)
-_ACTIVE, _SUCCEEDED, _DEAD = 0, 1, 2
-_STATUS = ("active", "succeeded", "dead")
+    return _result_of_states(
+        longs, long_paths, p1, list(active), joined_shorts, steps
+    )
 
 
 def _merge_steps_arrays(
     t: Tracker,
     ans,
-    long_paths: list[list[int]],
+    long_paths: FlatPaths,
     contact: tuple,
     contract_base: int,
     gp_n: int,
@@ -426,44 +579,40 @@ def _merge_steps_arrays(
 ) -> MergeResult:
     """:func:`_merge_steps_objects` on arrays, charge for charge.
 
-    A long path is its original vertices ``orig[start:start + olen]``
-    (``olen`` shrinks as kills backtrack into it) followed by its
-    extension, kept as a stack linked through ``below`` (each real G'
-    vertex is matched at most once, so ``below`` is indexed by vertex).
-    Each phase builds H_ph from the flat query answer, each step commits
-    its matches and kills its unmatched heads in whole-array passes, and
-    the :class:`LongState` objects are materialized once at the end.
-    ``ans`` is the flat Lemma 4.5 structure; ``contact`` is
-    ``(ckeys, cvals)`` from :func:`_contracted_arrays_np`.
+    A long path is a stack of vertices linked through ``below`` — its
+    original vertices, then its extension — with its head on ``top``
+    (each real G' vertex is on at most one path, so ``below`` is indexed
+    by vertex); a kill pops the head, a path popped empty is dead.  Each
+    phase builds H_ph from the flat query answer, each step commits its
+    matches and kills its unmatched heads in whole-array passes, and the
+    result keeps P in array form.  ``ans`` is the flat Lemma 4.5
+    structure; ``contact`` is ``(ckeys, cvals)`` from
+    :func:`_contracted_arrays`.
     """
-    import numpy as np
-
     ckeys, cvals = contact
     n_long = len(long_paths)
-    lens = np.fromiter(map(len, long_paths), np.int64, n_long)
-    start = np.cumsum(lens) - lens
-    orig = np.fromiter(
-        chain.from_iterable(long_paths), np.int64, int(lens.sum())
-    )
-    olen = lens.copy()
-    status = np.where(lens > 0, _ACTIVE, _DEAD).astype(np.int8)
+    flat, off = long_paths.flat, long_paths.off
+    lens = np.diff(off)
     t.charge(n_long + 1, 1)
-    top = np.full(n_long, -1, dtype=np.int64)
+    nonempty = lens > 0
     below = np.empty(contract_base, dtype=np.int64)
-    head = np.full(n_long, -1, dtype=np.int64)
-    head[lens > 0] = orig[(start + lens - 1)[lens > 0]]
+    below[flat[1:]] = flat[:-1]
+    below[flat[off[:-1][nonempty]]] = -1
+    top = np.full(n_long, -1, dtype=np.int64)
+    top[nonempty] = flat[off[1:][nonempty] - 1]
+    status = np.where(nonempty, _ACTIVE, _DEAD).astype(np.int8)
     joined_si = np.full(n_long, -1, dtype=np.int64)
     joined_y = np.full(n_long, -1, dtype=np.int64)
-    # per-step logs: successes, extension pushes (long, vertex) and
-    # kills (long, vertex, popped from the extension?)
+    # H_ph numbering scratch: key r for head row r, k + v for G' vertex v
+    lab = np.empty(n_long + gp_n, dtype=np.int64)
+    # per-step logs: successes, extension pushes and kills
     p1_li: list[np.ndarray] = []
     push_li: list[np.ndarray] = []
     push_v: list[np.ndarray] = []
     kill_li: list[np.ndarray] = []
     kill_v: list[np.ndarray] = []
-    kill_ext: list[np.ndarray] = []
 
-    active = np.flatnonzero(status == _ACTIVE)
+    active = np.flatnonzero(nonempty)
     phases = log2_ceil(max(2, gp_n)) + 1
     steps = 0
     while active.size and active.size >= threshold:  # repro-lint: disable=R005 (an int count against the caller's threshold, the same Python compare on every engine)
@@ -479,38 +628,36 @@ def _merge_steps_arrays(
             if not unmatched.size:
                 break
             k = int(unmatched.size)
-            rows, sel = ans.query(head[unmatched], 1 << ph, as_arrays=True)
-            sel_total = int(sel.size)
-            t.charge(k + sel_total, log2_ceil(max(2, k + sel_total)) + 1)
-            if not sel_total:
+            rows, sel = ans.query(top[unmatched], 1 << ph, as_arrays=True)
+            s = int(sel.size)
+            t.charge(k + s, log2_ceil(max(2, k + s)) + 1)
+            if not s:
                 break
-            # H_ph ids: heads in query order, candidates in order of
-            # first selection — the object loop's setdefault numbering
-            fresh = np.ones(sel_total, dtype=bool)
-            fresh[1:] = rows[1:] != rows[:-1]
-            left = np.cumsum(fresh) - 1
-            nl = int(left[-1]) + 1
-            uniq, first, inv = np.unique(
-                sel, return_index=True, return_inverse=True
-            )
-            cand_rank = np.empty(uniq.size, dtype=np.int64)
-            cand_rank[np.argsort(first)] = np.arange(uniq.size)
-            h_edges = np.stack([left, nl + cand_rank[inv]], axis=1)
-            chosen = np.asarray(
-                maximal_matching(
-                    t, nl + int(uniq.size), h_edges, rng, backend=backend
-                ),
-                dtype=np.int64,
+            # H_ph's vertices: the heads with a selection and the
+            # selected G' vertices, numbered 0.. in any order — the
+            # matching depends only on which edges share an endpoint.
+            # Each key keeps one of its positions (whichever write
+            # lands); the kept positions, counted, number the keys.
+            keys = np.concatenate((rows, sel + k))
+            pos = np.arange(2 * s, dtype=np.int64)
+            lab[keys] = pos
+            rep = lab[keys]
+            ids = np.cumsum(rep == pos)
+            h_edges = (ids[rep] - 1).reshape(2, s).T
+            chosen = maximal_matching(
+                t, int(ids[-1]), h_edges, rng, backend=backend
             )
             # apply matches: one op each
-            t.charge(chosen.size, chosen.size)
-            if chosen.size:
-                pair_li.append(unmatched[rows[chosen]])
+            c = len(chosen)
+            t.charge(c, c)
+            if c:
+                r = rows[chosen]
                 v_now = sel[chosen]
+                pair_li.append(unmatched[r])
                 pair_v.append(v_now)
-                ans.make_inactive(np.sort(v_now))
+                ans.make_inactive(v_now)
                 still = np.ones(k, dtype=bool)
-                still[rows[chosen]] = False
+                still[r] = False
                 unmatched = unmatched[still]
             t.charge(int(unmatched.size) + 1, 1)
 
@@ -521,40 +668,28 @@ def _merge_steps_arrays(
             li = np.concatenate(pair_li)
             v = np.concatenate(pair_v)
             onto = v >= contract_base
-            ls, vs = li[onto], v[onto]
-            if ls.size:
+            if onto.any():
+                ls, vs = li[onto], v[onto]
                 status[ls] = _SUCCEEDED
                 joined_si[ls] = vs - contract_base
-                joined_y[ls] = cvals[np.searchsorted(ckeys, head[ls] * gp_n + vs)]
+                joined_y[ls] = cvals[
+                    np.searchsorted(ckeys, top[ls] * gp_n + vs)
+                ]
                 p1_li.append(ls)
-            lr, vr = li[~onto], v[~onto]
-            below[vr] = top[lr]
-            top[lr] = vr
-            head[lr] = vr
-            push_li.append(lr)
-            push_v.append(vr)
+                li, v = li[~onto], v[~onto]
+            below[v] = top[li]
+            top[li] = v
+            push_li.append(li)
+            push_v.append(v)
 
         # ---- kills: unmatched heads die and paths backtrack ----
         t.parallel_ops(int(unmatched.size))
         if unmatched.size:
-            u = unmatched
-            tp = top[u]
-            on_ext = tp >= 0
-            top[u[on_ext]] = below[tp[on_ext]]
-            uo = u[~on_ext]
-            olen[uo] -= 1
-            killed = tp.copy()
-            killed[~on_ext] = orig[start[uo] + olen[uo]]
-            kill_li.append(u)
+            killed = top[unmatched]
+            top[unmatched] = below[killed]
+            status[unmatched[top[unmatched] < 0]] = _DEAD
+            kill_li.append(unmatched)
             kill_v.append(killed)
-            kill_ext.append(on_ext)
-            tp = top[u]
-            ol = olen[u]
-            # a path backtracked to nothing is dead; its head is moot
-            head[u] = np.where(
-                tp >= 0, tp, orig[start[u] + np.maximum(ol, 1) - 1]
-            )
-            status[u[(tp < 0) & (ol == 0)]] = _DEAD
 
         active = active[status[active] == _ACTIVE]
         t.charge(n_long + 1, 1)
@@ -562,45 +697,27 @@ def _merge_steps_arrays(
     # paths still attempting when the threshold fired are the P2 set
     t.charge(int(active.size) + 1, 1)
 
-    # ---- materialize the final states (output extraction) ----
+    # ---- P in array form (output extraction) ----
     empty = np.empty(0, dtype=np.int64)
     k_li = np.concatenate(kill_li) if kill_li else empty
     k_v = np.concatenate(kill_v) if kill_v else empty
-    k_ext = np.concatenate(kill_ext) if kill_ext else empty.astype(bool)
     p_li = np.concatenate(push_li) if push_li else empty
     p_v = np.concatenate(push_v) if push_v else empty
     # an extension is a stack, so what survives of it is every pushed
-    # vertex that was never popped, in push order
-    popped = np.zeros(contract_base, dtype=bool)
-    popped[k_v[k_ext]] = True
-    survives = ~popped[p_v]
-    ext = _grouped(n_long, p_li[survives], p_v[survives])
-    killed_orig = _grouped(n_long, k_li[~k_ext], k_v[~k_ext])
-    killed_ext = _grouped(n_long, k_li[k_ext], k_v[k_ext])
-    longs = [
-        LongState(
-            orig=list(l), cur=l[:ol] + ex, killed_orig=ko, killed_ext=ke,
-            status=_STATUS[sc],
-            joined_short=(si, y) if sc == _SUCCEEDED else None,
-        )
-        for l, ol, ex, ko, ke, sc, si, y in zip(  # repro-lint: disable=R001 (output extraction, charged by the loop above)
-            long_paths, olen.tolist(), ext, killed_orig, killed_ext,
-            status.tolist(), joined_si.tolist(), joined_y.tolist(),
-        )
-    ]
-    result = MergeResult(longs=longs, p2=active.tolist(), steps=steps)
-    if p1_li:
-        result.p1 = np.concatenate(p1_li).tolist()
-        result.joined_shorts = set(joined_si[result.p1].tolist())
-    return result
-
-
-def _grouped(n: int, keys, vals) -> list[list[int]]:
-    """``vals`` split by ``keys`` into one list per key ``0..n-1``,
-    each in its original (step) order."""
-    import numpy as np
-
-    order = np.argsort(keys, kind="stable")
-    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
-    flat = vals[order].tolist()
-    return [flat[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]  # repro-lint: disable=R001 (output extraction, charged by the caller's loop)
+    # vertex that was never popped, in push order; the original prefix
+    # loses one vertex per kill of an original vertex
+    gone = np.zeros(contract_base, dtype=bool)
+    gone[k_v] = True
+    survives = ~gone[p_v]
+    gone[:] = False
+    gone[flat] = True
+    p1 = np.concatenate(p1_li).tolist() if p1_li else []
+    return MergeResult(
+        orig=long_paths,
+        olen=lens - np.bincount(k_li[gone[k_v]], minlength=n_long),
+        ext=_grouped(n_long, p_li[survives], p_v[survives]),
+        status=status, joined_si=joined_si, joined_y=joined_y,
+        kill_li=k_li, kill_v=k_v,
+        p1=p1, p2=active.tolist(), steps=steps,
+        joined_shorts=set(joined_si[p1].tolist()),
+    )

@@ -26,22 +26,29 @@ from __future__ import annotations
 
 import random
 from itertools import chain
+from typing import Sequence
+
+import numpy as np
 
 from ..graph.graph import Graph
 from ..graph.connectivity import connected_components, component_sizes
 from ..listrank.ranking import prefix_sums_on_lists
 from ..obs import runtime as obs
 from ..pram.tracker import Tracker, log2_ceil
-from .path_merge import MergeResult, merge_paths
+from .path_merge import _DEAD, _SUCCEEDED, FlatPaths, MergeResult, merge_paths
 
 __all__ = ["paths_form_separator", "reduce_paths", "split_short_at"]
 
 
 def paths_form_separator(
-    g: Graph, t: Tracker, paths: list[list[int]], backend: str | None = None
+    g: Graph,
+    t: Tracker,
+    paths: Sequence[Sequence[int]] | FlatPaths,
+    backend: str | None = None,
 ) -> bool:
     """Check Definition 2.3 for the union of the given paths, in parallel.
 
+    The paths come as lists of vertex lists or as :class:`FlatPaths`.
     Work O(m log n), span polylog (Appendix A / JáJá).  On an array
     engine the complement is a boolean mask over the CSR endpoint
     arrays and the connectivity check runs on
@@ -53,7 +60,15 @@ def paths_form_separator(
 
     kb = resolve_backend(backend)
     if is_array_backend(kb):
-        return _separates_arrays(g, t, paths)
+        if isinstance(paths, FlatPaths):
+            members = paths.flat
+        else:
+            members = np.fromiter(
+                chain.from_iterable(paths), np.int64, sum(map(len, paths))
+            )
+        return _separates_arrays(g, t, members)
+    if isinstance(paths, FlatPaths):
+        paths = paths.tolist()
     q: set[int] = set()
     total = 0
     for p in paths:
@@ -78,8 +93,9 @@ def paths_form_separator(
     return 2 * max(sizes.values()) <= g.n
 
 
-def _separates_arrays(g: Graph, t: Tracker, paths: list[list[int]]) -> bool:
-    """:func:`paths_form_separator` on the array engines.
+def _separates_arrays(g: Graph, t: Tracker, members: np.ndarray) -> bool:
+    """:func:`paths_form_separator` on the array engines, given the
+    paths' vertices.
 
     The complement's vertices keep their relative order, so compacting
     the CSR endpoint arrays through the mask's prefix count yields the
@@ -87,14 +103,11 @@ def _separates_arrays(g: Graph, t: Tracker, paths: list[list[int]]) -> bool:
     induced subgraph — hence the same labels and the same
     contraction-round charges as connectivity on that subgraph.
     """
-    import numpy as np
-
     from ..kernels.components import components_arrays
 
-    total = sum(map(len, paths))
+    total = int(members.size)
     inq = np.zeros(g.n, dtype=bool)
-    if total:
-        inq[np.fromiter(chain.from_iterable(paths), np.int64, total)] = True
+    inq[members] = True
     t.charge(g.n + total, log2_ceil(max(2, g.n)) + 1)
     keep = ~inq
     k = int(np.count_nonzero(keep))
@@ -132,73 +145,94 @@ def _assemble_merged(
     g: Graph,
     t: Tracker,
     res: MergeResult,
-    short_paths: list[list[int]],
+    short_paths: FlatPaths,
     rng: random.Random,
     backend: str | None = None,
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Commit the merge: returns (merged long paths, remaining shorts)."""
+) -> tuple[FlatPaths, FlatPaths]:
+    """Commit the merge: returns (merged long paths, remaining shorts).
+
+    A succeeded long path becomes its surviving prefix, its connector
+    piece, the contact vertex y and the longer half of the joined short
+    outward from y (:func:`split_short_at`); the shorter half stays a
+    short path.  Every output path is made of runs of L, P and S, each
+    read forward or backward, so both sets are gathered in one pass
+    each.
+    """
+    s_off = short_paths.off
+    s_len = np.diff(s_off)
     # rank the joined shorts simultaneously (Lemma 2.4, as Section 4.1.2
     # prescribes) to find each contact vertex's position
-    joined = sorted(res.joined_shorts)
-    vertices: list[int] = []
-    prev_of: dict[int, int | None] = {}
-    for si in joined:
-        s = short_paths[si]
-        prev = None
-        for v in s:
-            vertices.append(v)
-            prev_of[v] = prev
-            prev = v
+    joined = np.array(sorted(res.joined_shorts), dtype=np.int64)
+    one = np.ones(joined.size, dtype=np.int64)
+    ranked = FlatPaths.gather(short_paths.flat, s_off[joined], s_len[joined], one)
+    vertices = ranked.flat.tolist()
+    # a head's predecessor is -1, outside the lists: absent
+    prev = np.empty(len(vertices), dtype=np.int64)
+    prev[1:] = ranked.flat[:-1]
+    prev[ranked.off[:-1]] = -1
     t.charge(len(vertices), log2_ceil(max(2, len(vertices) + 2)) + 1)
     ranks = prefix_sums_on_lists(
-        t, vertices, prev_of, lambda v: 1, rng=rng, backend=backend
+        t, vertices, dict(zip(vertices, prev.tolist())), lambda v: 1,
+        rng=rng, backend=backend,
     )
 
-    merged_longs: list[list[int]] = []
-    consumed_shorts: dict[int, list[int]] = {}
-    n_long_work = 0
-    for st in res.longs:
-        n_long_work += 1
-        if st.status == "succeeded":
-            si, y = st.joined_short
-            pos = ranks[y] - 1
-            absorbed, remainder = split_short_at(short_paths[si], pos)
-            merged_longs.append(st.cur + [y] + absorbed)
-            consumed_shorts[si] = remainder
-        elif st.status == "active":
-            merged_longs.append(list(st.cur))
-        # dead paths contribute nothing (their vertices are L* discards)
+    n_long = len(res.orig)
+    t.charge(n_long, log2_ceil(max(2, n_long + 2)) + 1)
+    # each long path: its prefix of L, its piece of P, then (succeeded)
+    # y and the absorbed half of its short, a run of S from y outward
+    base_p = res.orig.flat.size
+    base_s = base_p + res.ext.flat.size
+    pool = np.concatenate((res.orig.flat, res.ext.flat, short_paths.flat))
+    won = np.flatnonzero(res.status == _SUCCEEDED)
+    si = res.joined_si[won]
+    pos = np.fromiter(
+        map(ranks.__getitem__, res.joined_y[won].tolist()), np.int64, won.size
+    ) - 1
+    after = s_len[si] - pos - 1
+    outward = np.where(pos >= after, -1, 1)
+    y_at = base_s + s_off[si] + pos
+    runs = np.zeros((n_long, 3, 3), dtype=np.int64)  # (start, len, step)
+    runs[:, :, 2] = 1
+    runs[:, 0, 0] = res.orig.off[:-1]
+    runs[:, 0, 1] = res.olen
+    runs[:, 1, 0] = base_p + res.ext.off[:-1]
+    runs[:, 1, 1] = np.diff(res.ext.off)
+    runs[won, 2, 0] = y_at
+    runs[won, 2, 1] = np.where(outward < 0, pos, after) + 1
+    runs[won, 2, 2] = outward
+    # dead paths contribute nothing (their vertices are L* discards)
+    runs = runs[res.status != _DEAD].reshape(-1, 3)
+    merged = FlatPaths.gather(pool, runs[:, 0], runs[:, 1], runs[:, 2])
+    merged.off = merged.off[::3]
 
-    t.charge(n_long_work, log2_ceil(max(2, n_long_work + 2)) + 1)
-    remaining_shorts: list[list[int]] = []
-    for si, s in enumerate(short_paths):
-        if si in consumed_shorts:
-            if consumed_shorts[si]:
-                remaining_shorts.append(consumed_shorts[si])
-        else:
-            remaining_shorts.append(list(s))
     t.charge(
         len(short_paths), log2_ceil(max(2, len(short_paths) + 2)) + 1
     )
-    return merged_longs, remaining_shorts
+    # each joined short keeps its other half
+    starts = s_off[:-1].copy()
+    lens = s_len.copy()
+    starts[si] = np.where(outward < 0, y_at - base_s + 1, s_off[si])
+    lens[si] = np.where(outward < 0, after, pos)
+    keep = lens > 0
+    remaining = FlatPaths.gather(
+        short_paths.flat, starts[keep], lens[keep],
+        np.ones(int(keep.sum()), dtype=np.int64),
+    )
+    return merged, remaining
 
 
 def _fallback_candidates(
     res: MergeResult,
-    long_paths: list[list[int]],
-    short_paths: list[list[int]],
+    long_paths: FlatPaths,
+    short_paths: FlatPaths,
 ) -> dict[str, list[list[int]]]:
     """The Appendix A candidate path sets, all in pre-merge (original)
     forms plus the connector extensions as standalone paths."""
-    extensions = [
-        st.extension for st in res.longs if st.extension
-    ]
-    joined_longs = [
-        list(res.longs[i].orig) for i in res.p1 + res.p2
-    ]
-    joined_shorts = [list(short_paths[si]) for si in sorted(res.joined_shorts)]
-    all_longs = [list(l) for l in long_paths]
-    all_shorts = [list(s) for s in short_paths]
+    extensions = [p for p in res.ext.tolist() if p]  # repro-lint: disable=R001 (output extraction, charged by the merge loop)
+    all_longs = long_paths.tolist()
+    all_shorts = short_paths.tolist()
+    joined_longs = [all_longs[i] for i in res.p1 + res.p2]  # repro-lint: disable=R001 (output extraction, charged by the merge loop)
+    joined_shorts = [all_shorts[si] for si in sorted(res.joined_shorts)]  # repro-lint: disable=R001 (output extraction, charged by the merge loop)
     return {
         # Lemma A.2 first candidate: L̂ ∪ P ∪ S
         "lhat_p_s": joined_longs + extensions + all_shorts,
@@ -239,15 +273,15 @@ def reduce_paths(
         t, range(len(paths)), key=lambda i: -len(paths[i])
     )
     n_long = max(1, k_start // 4)
-    long_paths = [list(paths[i]) for i in order[:n_long]]
-    short_paths = [list(paths[i]) for i in order[n_long:]]
+    long_paths = FlatPaths.from_lists([paths[i] for i in order[:n_long]])
+    short_paths = FlatPaths.from_lists([paths[i] for i in order[n_long:]])
     t.charge(sum(map(len, paths)), 1)
 
     for _ in range(max_inner):
         k = len(long_paths) + len(short_paths)
         if k <= goal or k < 2:
             break
-        if not short_paths or not long_paths:
+        if not len(short_paths) or not len(long_paths):
             break
         obs.metrics().counter("reduction.iterations").inc()
         obs.metrics().histogram("reduction.k").observe(k)
@@ -283,11 +317,18 @@ def reduce_paths(
             merged_longs, remaining_shorts = _assemble_merged(
                 g, t, res, short_paths, rng, backend=backend
             )
-            committed = merged_longs + remaining_shorts
+            committed = FlatPaths(
+                np.concatenate((merged_longs.flat, remaining_shorts.flat)),
+                np.concatenate((
+                    merged_longs.off,
+                    merged_longs.off[-1] + remaining_shorts.off[1:],
+                )),
+            )
             if paths_form_separator(g, t, committed, backend=backend):
                 new_k = len(committed)
-                if new_k >= k and sum(map(len, remaining_shorts)) >= sum(
-                    map(len, short_paths)
+                if (
+                    new_k >= k
+                    and remaining_shorts.flat.size >= short_paths.flat.size
                 ):
                     raise RuntimeError("reduction made no progress (bug)")
                 long_paths, short_paths = merged_longs, remaining_shorts
@@ -305,4 +346,4 @@ def reduce_paths(
                 raise RuntimeError("Lemma A.1 violated: fallback fails (bug)")
             return cand
 
-    return long_paths + short_paths
+    return long_paths.tolist() + short_paths.tolist()

@@ -21,7 +21,7 @@ __all__ = ["CSRGraph"]
 class CSRGraph:
     """Immutable CSR adjacency of an undirected graph."""
 
-    __slots__ = ("n", "m", "indptr", "indices", "edge_u", "edge_v")
+    __slots__ = ("n", "m", "indptr", "indices", "edge_u", "edge_v", "_arcs")
 
     def __init__(self, g: Graph) -> None:
         self.n = g.n
@@ -46,6 +46,29 @@ class CSRGraph:
         if g.n:
             np.cumsum(np.bincount(src, minlength=g.n), out=self.indptr[1:])
         self.indices = dst[np.argsort(src, kind="stable")]
+        self._arcs: tuple[np.ndarray, ...] | None = None
+
+    def sorted_arcs(self) -> tuple[np.ndarray, ...]:
+        """Every edge as two arcs, sorted by ``(tail, head)``.
+
+        Returns ``(tail, head, eid, twin)``: arc ``i`` runs from
+        ``tail[i]`` to ``head[i]``, belongs to edge ``eid[i]``, and
+        ``twin[i]`` is the index of its reverse arc.  Built on first use
+        (one sort of the 2m arcs) and kept with the view, so every
+        contraction of one graph starts from the same sorted arcs.
+        """
+        if self._arcs is None:
+            m = self.m
+            tail = np.concatenate([self.edge_u, self.edge_v])
+            head = np.concatenate([self.edge_v, self.edge_u])
+            # arcs i and i + m come from edge i; the codes are distinct
+            # (no multi-edges), so any sort gives the same order
+            order = np.argsort(tail * self.n + head)
+            pos = np.empty(2 * m, dtype=np.int64)
+            pos[order] = np.arange(2 * m, dtype=np.int64)
+            twin = pos[(order + m) % max(1, 2 * m)]
+            self._arcs = (tail[order], head[order], order % max(1, m), twin)
+        return self._arcs
 
     # ------------------------------------------------------------------
     def neighbors(self, v: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """PRAM work-depth substrate: cost tracking, parallel sorting."""
 
 from .tracker import Cost, Tracker, brent_time_bounds, log2_ceil
-from .sorting import parallel_sort, parallel_merge
+from .sorting import parallel_sort
 
 __all__ = [
     "Cost",
@@ -9,5 +9,4 @@ __all__ = [
     "brent_time_bounds",
     "log2_ceil",
     "parallel_sort",
-    "parallel_merge",
 ]

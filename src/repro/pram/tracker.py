@@ -63,14 +63,6 @@ class Cost:
         yield self.work
         yield self.span
 
-    def __add__(self, other: "Cost") -> "Cost":
-        # Sequential composition.
-        return Cost(self.work + other.work, self.span + other.span)
-
-    def parallel(self, other: "Cost") -> "Cost":
-        # Parallel composition.
-        return Cost(self.work + other.work, max(self.span, other.span))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Cost(work={self.work}, span={self.span})"
 

@@ -298,9 +298,6 @@ class FlatForest:
         tree = [endpoints[e] for e, t in enumerate(self.is_tree) if t]  # repro-lint: disable=R001
         return sorted(tree)
 
-    def edge_alive(self, eid: int) -> bool:
-        return self.alive[eid]
-
     def live_incident(self, v: int) -> list[int]:
         """Ids of v's live edges, inserted ones included, filtered by
         ``alive`` (uncharged; the caller charges what it gathers)."""

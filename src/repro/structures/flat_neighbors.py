@@ -48,6 +48,7 @@ class FlatActiveNeighborStructure:
         "_indptr",
         "_nbr",
         "_owner",
+        "_deg",
         "_mirror",
         "active",
         "_leaf",
@@ -73,7 +74,13 @@ class FlatActiveNeighborStructure:
         else:
             nbr = np.empty(0, dtype=np.int64)
             eids = np.empty(0, dtype=np.int64)
-        self._init_from(n, indptr, nbr, eids, tracker)
+        # twin-slot permutation: the two slots of one edge point at each
+        # other (the flat form of the edge position index "b")
+        order = np.argsort(eids, kind="stable")
+        mirror = np.empty(order.size, dtype=np.int64)
+        mirror[order[0::2]] = order[1::2]
+        mirror[order[1::2]] = order[0::2]
+        self._init_from(n, indptr, nbr, mirror, tracker)
 
     @classmethod
     def from_csr(
@@ -81,14 +88,16 @@ class FlatActiveNeighborStructure:
         n: int,
         indptr: np.ndarray,
         nbr: np.ndarray,
-        eids: np.ndarray,
+        mirror: np.ndarray,
         tracker: Tracker | None = None,
     ) -> "FlatActiveNeighborStructure":
         """Build directly from CSR arrays (adjacency already in the
-        canonical edge-id order), skipping the Python adjacency lists —
-        the all-array path ``merge_paths`` uses for the contracted G'."""
+        canonical edge-id order) and the twin-slot permutation
+        (``mirror[s]`` is the slot of the same edge in the other
+        endpoint's list), skipping the Python adjacency lists — the
+        all-array path ``merge_paths`` uses for the contracted G'."""
         obj = cls.__new__(cls)
-        obj._init_from(n, indptr, nbr, eids, tracker)
+        obj._init_from(n, indptr, nbr, mirror, tracker)
         return obj
 
     def _init_from(
@@ -96,7 +105,7 @@ class FlatActiveNeighborStructure:
         n: int,
         indptr: np.ndarray,
         nbr: np.ndarray,
-        eids: np.ndarray,
+        mirror: np.ndarray,
         tracker: Tracker | None,
     ) -> None:
         self.n = n
@@ -105,14 +114,9 @@ class FlatActiveNeighborStructure:
         self._indptr = indptr
         self._nbr = nbr
         deg = np.diff(indptr)
+        self._deg = deg
         #: owner[s] = vertex whose adjacency list contains slot s
         self._owner = np.repeat(np.arange(n, dtype=np.int64), deg)
-        # twin-slot permutation: the two slots of one edge point at each
-        # other (the flat form of the edge position index "b")
-        order = np.argsort(eids, kind="stable")
-        mirror = np.empty(total, dtype=np.int64)
-        mirror[order[0::2]] = order[1::2]
-        mirror[order[1::2]] = order[0::2]
         self._mirror = mirror
         self.active = np.ones(n, dtype=bool)
         self._leaf = np.ones(total, dtype=bool)
@@ -143,16 +147,13 @@ class FlatActiveNeighborStructure:
             v = int(vs[int(np.argmax(dead))])
             raise ValueError(f"vertex {v} is already inactive")
         self.active[vs] = False
-        indptr = self._indptr
-        counts = indptr[vs + 1] - indptr[vs]
-        total = int(counts.sum())
+        counts = self._deg[vs]
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
         if total:
             # slots = concatenation of each v's slot range, vectorized
-            starts = np.repeat(indptr[vs], counts)
-            offs = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            ms = self._mirror[starts + offs]
+            shift = np.repeat(self._indptr[vs] - ends + counts, counts)
+            ms = self._mirror[np.arange(total, dtype=np.int64) + shift]
             # each mirror slot is cleared at most once per lifetime
             # (double deactivation raises above), so a plain subtract
             # keeps the counts exact
@@ -181,25 +182,26 @@ class FlatActiveNeighborStructure:
         k = int(vs.size)
         rows = nbrs = np.empty(0, dtype=np.int64)
         if k and t_count:
-            indptr, leaf = self._indptr, self._leaf
-            starts = indptr[vs]
-            counts = indptr[vs + 1] - starts
-            total = int(counts.sum())
+            counts = self._deg[vs]
+            idx0 = np.cumsum(counts) - counts
+            total = int(idx0[-1] + counts[-1])
             if total:
                 # one flat gather over every queried row, then a
                 # segmented prefix count picks each row's first t active
                 # slots in adjacency order — no per-vertex Python pass
-                idx0 = np.cumsum(counts) - counts
-                base = np.repeat(starts, counts)
-                offs = np.arange(total, dtype=np.int64) - np.repeat(
-                    idx0, counts
-                )
-                slots = base + offs
-                act = leaf[slots]
+                row = np.repeat(np.arange(k, dtype=np.int64), counts)
+                slots = np.arange(total, dtype=np.int64)
+                slots += (self._indptr[vs] - idx0)[row]
+                act = self._leaf[slots]
                 c = np.cumsum(act)
-                rank = c - np.repeat(c[idx0] - act[idx0], counts)
-                keep = act & (rank <= t_count)
-                rows = np.repeat(np.arange(k, dtype=np.int64), counts)[keep]
+                # a row keeps an active slot while fewer than t active
+                # slots precede it in the row: c <= (active slots before
+                # the row) + t.  A row without slots reads any slot (the
+                # last one if it ends the query): it keeps nothing.
+                first = np.minimum(idx0, total - 1)
+                lim = c[first] - act[first] + t_count
+                keep = act & (c <= lim[row])
+                rows = row[keep]
                 nbrs = self._nbr[slots[keep]]
         self.tracker.charge(
             k * (t_count + 1) * log2_ceil(max(2, self.n)),

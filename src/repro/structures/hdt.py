@@ -162,9 +162,6 @@ class HDTConnectivity:
             pair for pair in self.ett[0].arcs if pair[0] < pair[1]
         )
 
-    def edge_alive(self, eid: int) -> bool:
-        return self.alive[eid]
-
     # ------------------------------------------------------------------
     # deletion
     # ------------------------------------------------------------------

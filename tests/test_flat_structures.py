@@ -35,7 +35,8 @@ from repro.structures.flat_neighbors import FlatActiveNeighborStructure
 
 def _csr_of(g: Graph):
     """CSR arrays in ``Graph.adj`` (edge-id) order — the canonical
-    adjacency layout ``FlatActiveNeighborStructure.__init__`` builds."""
+    adjacency layout ``FlatActiveNeighborStructure.__init__`` builds —
+    and the twin-slot permutation pairing the two slots of each edge."""
     deg = np.fromiter((len(a) for a in g.adj), dtype=np.int64, count=g.n)
     indptr = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(deg, out=indptr[1:])
@@ -49,7 +50,14 @@ def _csr_of(g: Graph):
     else:
         nbr = np.empty(0, dtype=np.int64)
         eids = np.empty(0, dtype=np.int64)
-    return indptr, nbr, eids
+    slot_of = {}
+    mirror = np.empty(eids.size, dtype=np.int64)
+    for slot, e in enumerate(eids.tolist()):
+        if e in slot_of:
+            mirror[slot], mirror[slot_of[e]] = slot_of[e], slot
+        else:
+            slot_of[e] = slot
+    return indptr, nbr, mirror
 
 
 class TestFlatNeighborsDifferential:
@@ -113,6 +121,14 @@ class TestFlatNeighborsDifferential:
         # vertex 0 is still active but all its neighbors are gone
         assert flat.query([0], 4) == [[]]
         assert flat.n_active_neighbors(0) == 0
+
+    def test_query_rows_without_neighbors(self):
+        # isolated vertices anywhere in the query, the last row included
+        g = Graph(5, [(0, 1), (1, 3)])
+        ref = ActiveNeighborStructure(g, tracker=Tracker())
+        flat = FlatActiveNeighborStructure(g, tracker=Tracker())
+        for probes in ([0, 2], [2, 1, 4], [4], [2, 4, 3]):
+            assert flat.query(probes, 2) == ref.query(probes, 2)
 
 
 class TestFlatForestEdgeCases:

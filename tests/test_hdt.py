@@ -316,7 +316,7 @@ class TestMisc:
     def test_edge_alive_flag(self):
         g = Graph(3, [(0, 1), (1, 2)])
         hdt = HDTConnectivity(g)
-        assert hdt.edge_alive(0)
+        assert hdt.alive[0]
         hdt.batch_delete([0])
-        assert not hdt.edge_alive(0)
-        assert hdt.edge_alive(1)
+        assert not hdt.alive[0]
+        assert hdt.alive[1]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pram.tracker import Cost, Tracker, brent_time_bounds, log2_ceil
+from repro.pram.tracker import Tracker, brent_time_bounds, log2_ceil
 
 
 class TestLog2Ceil:
@@ -20,18 +20,6 @@ class TestLog2Ceil:
         for k in range(1, 20):
             assert log2_ceil(1 << k) == k
             assert log2_ceil((1 << k) + 1) == k + 1
-
-
-class TestCost:
-    def test_sequential_composition(self):
-        c = Cost(3, 2) + Cost(5, 7)
-        assert c.work == 8
-        assert c.span == 9
-
-    def test_parallel_composition(self):
-        c = Cost(3, 2).parallel(Cost(5, 7))
-        assert c.work == 8
-        assert c.span == 7
 
 
 class TestBrent:

@@ -18,10 +18,11 @@ import pytest
 
 from repro.core import dfs as dfs_mod
 from repro.core import path_merge
+from repro.core import reduction
 from repro.core import separator as separator_mod
 from repro.core.dfs import parallel_dfs
 from repro.core.path_merge import merge_paths
-from repro.core.reduction import paths_form_separator
+from repro.core.reduction import paths_form_separator, split_short_at
 from repro.core.separator import build_separator
 from repro.core.verify import is_separator, is_valid_dfs_tree
 from repro.graph import Graph
@@ -230,6 +231,42 @@ class TestMergePathsParity:
         assert any(s[2] for s in states)  # some original vertex died
 
 
+class TestAssembleMerged:
+    """``_assemble_merged`` gathers the next L and S from P's arrays; the
+    reference is the per-path rule: prefix + connector + y + the longer
+    half of the short outward from y (``split_short_at``), the shorter
+    half staying short."""
+
+    @pytest.mark.parametrize("name", sorted(_GRAPHS))
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("backend", ["tracked", "numpy"])
+    def test_matches_split_rule(self, name, seed, backend):
+        g = _GRAPHS[name]()
+        longs, shorts = _long_short(g, seed)
+        rng = random.Random(seed)
+        res = merge_paths(g, Tracker(), longs, shorts, rng, 1.0, backend=backend)
+        assert res.p1  # some long path joined a short
+        merged, remaining = reduction._assemble_merged(
+            g, Tracker(), res, path_merge.FlatPaths.from_lists(shorts),
+            rng, backend=backend,
+        )
+        want_merged, consumed = [], {}
+        for st_ in res.longs:
+            if st_.status == "succeeded":
+                si, y = st_.joined_short
+                absorbed, rest = split_short_at(shorts[si], shorts[si].index(y))
+                want_merged.append(st_.cur + [y] + absorbed)
+                consumed[si] = rest
+            elif st_.status == "active":
+                want_merged.append(st_.cur)
+        want_remaining = [
+            consumed.get(si, s) for si, s in enumerate(shorts)
+            if consumed.get(si, s)
+        ]
+        assert merged.tolist() == want_merged
+        assert remaining.tolist() == want_remaining
+
+
 # ----------------------------------------------------------------------
 # loud separator stalls
 # ----------------------------------------------------------------------
@@ -302,3 +339,120 @@ class TestSeparatorStalls:
             assert calls[0] > 1 and forced[0] > 2
             assert res.stats["separator_stalls"] == forced[0]
         assert stats["numpy"] == stats["tracked"]
+
+
+# ----------------------------------------------------------------------
+# reduce_paths: engine parity over whole Lemma 4.1 reductions
+# ----------------------------------------------------------------------
+
+
+def _reduction_inputs(monkeypatch, g, seed):
+    """Every ``reduce_paths`` input — (paths, rng state, goal) — of one
+    tracked ``build_separator`` run."""
+    inputs = []
+    reduce_paths = separator_mod.reduce_paths
+
+    def record(g_, t, paths, rng, goal, *a, **k):
+        inputs.append((copy.deepcopy(paths), rng.getstate(), goal))
+        return reduce_paths(g_, t, paths, rng, goal, *a, **k)
+
+    with monkeypatch.context() as m:
+        m.setattr(separator_mod, "reduce_paths", record)
+        build_separator(g, Tracker(), random.Random(seed), backend="tracked")
+    return inputs
+
+
+def _reduce_logged(monkeypatch, g, paths, state, goal, backend):
+    """One ``reduce_paths`` call from a given rng state: the returned
+    paths, the snapshot, the next rng draw, and how the call ended —
+    "commit" (its last merge was committed), "A.1" (the merged set no
+    longer separated), "A.2" (too few matched paths, a smaller candidate
+    returned) or "other" (it stopped without committing)."""
+    events = []
+
+    def logged(name, fn):
+        def call(*a, **k):
+            out = fn(*a, **k)
+            events.append((name, out))
+            return out
+
+        return call
+
+    t = Tracker()
+    rng = random.Random()
+    rng.setstate(state)
+    with monkeypatch.context() as m:
+        for name in ("merge_paths", "_assemble_merged", "_fallback_candidates"):
+            m.setattr(reduction, name, logged(name, getattr(reduction, name)))
+        out = reduction.reduce_paths(
+            g, t, copy.deepcopy(paths), rng, goal, backend=backend
+        )
+    # the events of the last iteration: its merge and what followed
+    last = [name for name, _ in events]
+    last = last[len(last) - last[::-1].index("merge_paths"):] if last else []
+    end = "commit" if "_assemble_merged" in last else "other"
+    if last and last[-1] == "_fallback_candidates":
+        cands = events[-1][1]
+        returned = [
+            key for key in ("lhat_p_s", "l_p_shat")
+            if out == [p for p in cands[key] if p]
+        ]
+        if last == ["_assemble_merged", "_fallback_candidates"]:
+            assert returned == ["l_p_shat"]
+            end = "A.1"
+        elif returned:
+            end = "A.2"
+    return out, tuple(t.snapshot()), rng.random(), end
+
+
+#: (family, n, graph seed, rng seed) of a tracked build_separator run ->
+#: how its reductions end, and the summed (work, span) of all of them
+#: per engine, as the code before P's array form charged them
+_REDUCTIONS = {
+    ("gnm", 300, 0, 0): (
+        {"commit", "A.1"},
+        {"tracked": (223524, 6104), "numpy": (220627, 3319)},
+    ),
+    ("spider", 100, 0, 0): (
+        {"A.2"},
+        {"tracked": (16131, 2311), "numpy": (18871, 1609)},
+    ),
+    ("spider", 400, 0, 0): (
+        {"commit", "A.2"},
+        {"tracked": (147586, 11588), "numpy": (204164, 8410)},
+    ),
+}
+
+
+def _run_reductions(monkeypatch, case):
+    fam, n, gseed, seed = case
+    g = G.make_family(fam, n, seed=gseed)
+    totals = {"tracked": (0, 0), "numpy": (0, 0)}
+    ends = set()
+    for paths, state, goal in _reduction_inputs(monkeypatch, g, seed):
+        runs = {
+            kb: _reduce_logged(monkeypatch, g, paths, state, goal, kb)
+            for kb in totals
+        }
+        tracked, array = runs["tracked"], runs["numpy"]
+        # the same paths, the same rng stream, the same ending
+        assert array[0] == tracked[0]
+        assert array[2] == tracked[2]
+        assert array[3] == tracked[3]
+        ends.add(array[3])
+        for kb, run in runs.items():
+            w, s = totals[kb]
+            totals[kb] = (w + run[1][0], s + run[1][1])
+    return ends, totals
+
+
+class TestReducePathsParity:
+    @pytest.mark.parametrize("case", sorted(_REDUCTIONS))
+    def test_engines_agree(self, monkeypatch, case):
+        assert _run_reductions(monkeypatch, case) == _REDUCTIONS[case]
+
+    def test_every_ending_is_covered(self):
+        # guard against a vacuous parity: the cases above commit merges
+        # and end in both Appendix A returns
+        ends = set().union(*(e for e, _ in _REDUCTIONS.values()))
+        assert ends >= {"commit", "A.1", "A.2"}
