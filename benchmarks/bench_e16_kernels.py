@@ -12,6 +12,10 @@ both through the public entry points (``prefix_sums_on_lists``,
   kernel draws its priorities in rng lockstep with the tracked one, so a
   broken lockstep fails here) and is maximal,
 * at n = 1e5 the numpy backend is ≥ 10× faster on both primitives.
+
+Both engines are timed the same way: best of ``REPS`` runs each, the
+runs alternating tracked, numpy, tracked, ..., so that a drift in host
+speed reaches both sides of a ratio alike.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from repro.matching.luby import is_maximal_matching, maximal_matching
 from repro.pram import Tracker
 
 SIZES = (1_000, 10_000, 100_000)
+#: timed runs per engine and size (the best one counts)
+REPS = 3
 
 
 def _shuffled_list(n: int, seed: int = 3):
@@ -40,13 +46,18 @@ def _shuffled_list(n: int, seed: int = 3):
     return ids, prev_of, values
 
 
-def _best_of(fn, reps: int) -> tuple[float, object]:
-    best, out = float("inf"), None
+def _best_of_alternating(tracked, numpy, reps: int = REPS):
+    """Best wall clock of ``reps`` runs of each engine, alternating
+    between them; returns ``(tracked s, its output, numpy s, its
+    output)``."""
+    best = [float("inf"), float("inf")]
+    out: list[object] = [None, None]
     for _ in range(reps):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
+        for k, fn in enumerate((tracked, numpy)):
+            t0 = time.perf_counter()
+            out[k] = fn()
+            best[k] = min(best[k], time.perf_counter() - t0)
+    return best[0], out[0], best[1], out[1]
 
 
 def run_experiment():
@@ -54,34 +65,25 @@ def run_experiment():
     match_rows = []
     for n in SIZES:
         ids, prev_of, values = _shuffled_list(n)
-        t_tr, r_tracked = _best_of(
+        t_tr, r_tracked, t_np, r_numpy = _best_of_alternating(
             lambda: prefix_sums_on_lists(
                 Tracker(), ids, prev_of, values.__getitem__, backend="tracked"
             ),
-            1,
-        )
-        # best-of-5 for the fast engine: sub-100ms timings are noisy
-        t_np, r_numpy = _best_of(
             lambda: prefix_sums_on_lists(
                 Tracker(), ids, prev_of, values.__getitem__, backend="numpy"
             ),
-            5,
         )
         assert r_numpy == r_tracked, f"rank mismatch at n={n}"
         rank_rows.append((n, round(t_tr, 3), round(t_np, 4), round(t_tr / t_np, 1)))
 
         g = gnm_random_connected_graph(n, 2 * n, seed=7)
-        t_tr, m_tracked = _best_of(
+        t_tr, m_tracked, t_np, m_numpy = _best_of_alternating(
             lambda: maximal_matching(
                 Tracker(), g.n, g.edges, random.Random(42), backend="tracked"
             ),
-            1,
-        )
-        t_np, m_numpy = _best_of(
             lambda: maximal_matching(
                 Tracker(), g.n, g.edges, random.Random(42), backend="numpy"
             ),
-            5,
         )
         assert m_numpy == m_tracked, f"matching mismatch at n={n}"
         assert is_maximal_matching(g.n, g.edges, m_numpy)
@@ -113,6 +115,11 @@ def test_e16_kernel_speedup(benchmark):
     rank_rows, match_rows = benchmark.pedantic(
         run_experiment, rounds=1, iterations=1
     )
+    # acceptance: ≥10x on both primitives at n = 1e5; the table is
+    # published only once it holds
+    assert rank_rows[-1][0] == SIZES[-1]
+    assert rank_rows[-1][-1] >= 10, f"ranking speedup {rank_rows[-1][-1]}x"
+    assert match_rows[-1][-1] >= 10, f"matching speedup {match_rows[-1][-1]}x"
     publish(
         "e16_kernels",
         render(rank_rows, match_rows),
@@ -127,10 +134,6 @@ def test_e16_kernel_speedup(benchmark):
             ],
         },
     )
-    # acceptance: ≥10x on both primitives at n = 1e5
-    assert rank_rows[-1][0] == SIZES[-1]
-    assert rank_rows[-1][-1] >= 10, f"ranking speedup {rank_rows[-1][-1]}x"
-    assert match_rows[-1][-1] >= 10, f"matching speedup {match_rows[-1][-1]}x"
 
 
 if __name__ == "__main__":

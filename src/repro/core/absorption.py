@@ -42,7 +42,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ..graph.graph import Graph
-from ..listrank.dllist import PathCollection
+from ..kernels.dispatch import is_array_backend
+from ..kernels.listrank import unit_chain_ranks
 from ..listrank.ranking import prefix_sums_on_lists
 from ..obs import runtime as obs
 from ..pram.tracker import Tracker, log2_ceil
@@ -64,18 +65,6 @@ class AbsorptionOutcome:
     #: FlatAbsorptionStructure under numpy
     structure: AbsorptionStructure | FlatAbsorptionStructure
     iterations: int = 0
-
-
-def _ordered_piece(t: Tracker, pc: PathCollection, member: int) -> list[int]:
-    """Materialize one doubly-linked path piece as an ordered list.
-
-    On the PRAM this is Lemma 2.4 (rank every node, scatter by rank):
-    O(len) work, O(log len) span — charged as such; the traversal below is
-    the sequential simulation of that primitive.
-    """
-    out = pc.path_of(member)
-    t.charge(len(out), log2_ceil(max(2, len(out))) + 1)
-    return out
 
 
 def absorb_separator(
@@ -109,18 +98,22 @@ def absorb_separator(
     ds = make_absorption_structure(
         g, tracker=t, global_of=to_global, kernel_backend=kernel_backend
     )
-    pc = PathCollection()
-    sep_vertices: list[int] = []
+    array_engine = is_array_backend(kernel_backend)
+    # the separator paths as ranges of one flat sequence: the piece of
+    # Q holding seq[j] is seq[lo_of[j]:hi_of[j]] (kept current for the
+    # vertices still in Q); materializing a piece (Lemma 2.4: rank,
+    # scatter by rank) is charged O(len) work, O(log len) span
+    seq: list[int] = []
+    lo_of: list[int] = []
+    hi_of: list[int] = []
     for path in sep_paths:
-        prev = None
-        for v in path:
-            pc.add_singleton(v)
-            if prev is not None:
-                pc.link(prev, v)
-            prev = v
-            sep_vertices.append(v)
-    t.charge(len(sep_vertices), log2_ceil(max(2, len(sep_vertices))) + 1)
-    ds.set_separator(sep_vertices)
+        lo = len(seq)
+        seq.extend(path)
+        lo_of.extend([lo] * (len(seq) - lo))
+        hi_of.extend([len(seq)] * (len(seq) - lo))
+    at = {v: j for j, v in enumerate(seq)}
+    t.charge(len(seq), log2_ceil(max(2, len(seq))) + 1)
+    ds.set_separator(seq)
 
     for v_local, x_global, d in seeds:
         ds.set_tree_neighbor(v_local, x_global, d)
@@ -129,13 +122,17 @@ def absorb_separator(
 
     # absorb the root itself; if it sits on a separator path, split the
     # path around it (both pieces stay in Q)
-    if root in pc:
+    j = at.get(root)
+    if j is not None:
         t.op(1)
-        pc.cut_before(root)
-        pc.cut_after(root)
-        pc.remove_singleton(root)
+        for k in range(lo_of[j], j):
+            hi_of[k] = j
+        for k in range(j + 1, hi_of[j]):
+            lo_of[k] = j + 1
     ds.batch_delete([(root, root_depth)])
 
+    c_iterations = obs.metrics().counter("absorb.iterations")
+    h_chain = obs.metrics().histogram("absorb.chain")
     iterations = 0
     max_iterations = 8 * g.n + 64
     while True:
@@ -145,68 +142,67 @@ def absorb_separator(
         iterations += 1
         if iterations > max_iterations:
             raise RuntimeError("absorption did not converge (bug)")
-        obs.metrics().counter("absorb.iterations").inc()
+        c_iterations.inc()
 
         with obs.span("absorb.iteration", iteration=iterations) as sp:
             v, x_global, dx = ds.lowest_node(q_probe)
             p = ds.find_path_s2p(q_probe, v)
-            q = p[-1]
 
-            # split l = l' q l'' and pick the longer half (Lemma 2.4
-            # decides)
-            before_member = pc.cut_before(q)
-            after_member = pc.cut_after(q)
-            pc.remove_singleton(q)
-            piece_before = (
-                _ordered_piece(t, pc, before_member)
-                if before_member is not None
-                else []
-            )
-            piece_after = (
-                _ordered_piece(t, pc, after_member)
-                if after_member is not None
-                else []
-            )
-            if len(piece_before) >= len(piece_after):
-                absorbed_half = list(reversed(piece_before))  # out from q
+            # split l = l' q l'' and absorb the longer half (Lemma 2.4
+            # decides); the shorter one stays in Q with its new bounds
+            j = at[p[-1]]
+            lo, hi = lo_of[j], hi_of[j]
+            n_before, n_after = j - lo, hi - j - 1
+            if n_before:
+                t.charge(n_before, log2_ceil(max(2, n_before)) + 1)
+            if n_after:
+                t.charge(n_after, log2_ceil(max(2, n_after)) + 1)
+            if n_before >= n_after:
+                absorbed_half = seq[lo:j][::-1]  # out from q
+                for k in range(j + 1, hi):
+                    lo_of[k] = j + 1
             else:
-                absorbed_half = piece_after
+                absorbed_half = seq[j + 1 : hi]
+                for k in range(lo, j):
+                    hi_of[k] = j
             if absorbed_half:
-                pc.discard_path(absorbed_half[0])
                 t.charge(len(absorbed_half), 1)
 
             chain = p + absorbed_half  # v ... q ... l'-end
             sp.set("chain", len(chain))
-            obs.metrics().histogram("absorb.chain").observe(len(chain))
+            h_chain.observe(len(chain))
 
             # depths via a prefix sum along the chain (Lemma 2.4): the
-            # chain hangs below the tree vertex x at depth dx; each vertex
-            # adds 1
-            prev_of: dict[int, int | None] = {}
-            prev = None
-            for w in chain:
-                prev_of[w] = prev
-                prev = w
+            # chain hangs below the tree vertex x at depth dx and each
+            # vertex adds 1, so chain[i] ranks i + 1. The numpy engine
+            # replays only the contraction's rng draws and charges; the
+            # tracked engine runs the instrumented contraction.
             t.charge(len(chain), 1)
-            ranks = prefix_sums_on_lists(
-                t, chain, prev_of, lambda w: 1, rng=rng, backend=kernel_backend
-            )
+            if array_engine:
+                unit_chain_ranks(t, chain, rng)
+            else:
+                prev_of: dict[int, int | None] = dict(zip(chain, [None] + chain))
+                prefix_sums_on_lists(
+                    t, chain, prev_of, lambda w: 1, rng=rng,
+                    backend=kernel_backend,
+                )
 
-            chain_depths: dict[int, int] = {}
-
-            def attach(idx_w: tuple[int, int]) -> None:
-                i, w = idx_w
-                t.op(1)
+            # attach the chain (one parallel step: each vertex writes its
+            # parent and depth)
+            t.parallel_ops(len(chain))
+            prev = x_global
+            d = dx
+            batch = []
+            for w in chain:
                 wg = to_global[w]
-                parent[wg] = x_global if i == 0 else to_global[chain[i - 1]]
-                d = dx + ranks[w]
+                d += 1
+                parent[wg] = prev
                 depth[wg] = d
-                chain_depths[w] = d
-                absorbed_local.add(w)
+                batch.append((w, d))
+                prev = wg
+            absorbed_local.update(chain)
 
-            t.parallel_for(list(enumerate(chain)), attach)
-
-            ds.batch_delete([(w, chain_depths[w]) for w in chain])
+            ds.batch_delete(batch)
 
     return AbsorptionOutcome(
         absorbed_local=absorbed_local, structure=ds, iterations=iterations

@@ -12,9 +12,11 @@ sorts and gathers (the classic PRAM construction, [TV85]):
   cyclically follows the twin arc ``(v, u)`` in ``v``'s group.
 
 ``euler_tour_successors`` returns that successor permutation (one cycle
-per tree of the forest); :mod:`repro.kernels.tour_flat` ranks it with
-the vectorized Wyllie kernel — the same Lemma 2.4 reduction the paper
-uses — to root the forest.
+per tree of the forest); ranking it with the vectorized Wyllie kernel —
+the same Lemma 2.4 reduction the paper uses — roots the forest. The flat
+absorption structure charges exactly that build
+(:func:`repro.structures.flat_absorb._charge_tour_build`) while rooting
+its trees by one traversal.
 """
 
 from __future__ import annotations

@@ -37,12 +37,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ..listrank.ranking import _coin
 from ..pram.tracker import Tracker, log2_ceil
 
 __all__ = [
     "wyllie_ranks",
     "anderson_miller_ranks",
     "prefix_sums_on_lists_np",
+    "unit_chain_ranks",
 ]
 
 
@@ -172,8 +174,6 @@ def _am_small(
     Same splice logic and the same one-salt-per-round draws, so small
     calls stay in rng lockstep with the tracked backend too.
     """
-    from ..listrank.ranking import _coin
-
     vset = set(vertices)
     prv: dict[int, int | None] = {}
     nxt: dict[int, int | None] = {v: None for v in vertices}
@@ -284,3 +284,72 @@ def prefix_sums_on_lists_np(
     else:
         ranks = wyllie_ranks(prev, values, t)
     return dict(zip(vs, ranks.tolist()))
+
+
+def unit_chain_ranks(
+    t: Tracker | None, chain: Sequence[int], rng: random.Random
+) -> range:
+    """Lemma 2.4 on one list whose order the caller already holds, every
+    value 1: the ranks are ``1, ..., k`` in ``chain`` order.
+
+    Only the Anderson–Miller contraction's rounds are replayed, so that
+    the call draws exactly the salts, and charges exactly the
+    (work, span), that :func:`prefix_sums_on_lists_np` charges for the
+    same list with ``prev_of`` linking ``chain`` head first. A round's
+    splice set depends only on the salt and the order of the list still
+    live, and splicing removes list elements without reordering the
+    rest, so the replay keeps just that order: no values, no successor
+    pointers, no reverse pass.
+    """
+    k = len(chain)
+    if k == 0:
+        return range(1, 1)
+    guard_max = 4 * (k.bit_length() + 2) ** 2 + 64
+    if k < _SMALL:
+        if t is not None:
+            t.charge(3 * k, 3 * (log2_ceil(max(2, k)) + 1))
+        live = list(chain)
+        guard = 0
+        while len(live) > 1:  # repro-lint: disable=R001 (charged above)
+            guard += 1
+            if guard > guard_max:
+                raise RuntimeError("anderson-miller failed to converge (bug)")
+            salt = rng.getrandbits(62)
+            # splice a non-head node whose coin is heads while its
+            # predecessor's is tails (the predecessor's coin only when
+            # needed, as the dict mirror evaluates them)
+            kept = [live[0]]
+            before = None
+            for j in range(1, len(live)):  # repro-lint: disable=R001
+                x = live[j]
+                c = _coin(x, salt)
+                if c:
+                    if before is None:
+                        before = _coin(live[j - 1], salt)
+                    if not before:
+                        before = c
+                        continue
+                kept.append(x)
+                before = c
+            live = kept
+        return range(1, k + 1)
+    live_ids = np.asarray(chain, dtype=np.int64)
+    total = 0
+    spliced_rounds = 0
+    guard = 0
+    while live_ids.size > 1:
+        guard += 1
+        if guard > guard_max:
+            raise RuntimeError("anderson-miller failed to converge (bug)")
+        salt = rng.getrandbits(62)
+        total += int(live_ids.size) - 1
+        c = _coin_bits(live_ids, salt)
+        spl = np.zeros(live_ids.size, dtype=bool)
+        spl[1:] = c[1:] & ~c[:-1]
+        if spl.any():
+            spliced_rounds += 1
+            live_ids = live_ids[~spl]
+    if t is not None:
+        logk = log2_ceil(max(2, k)) + 1
+        t.charge(2 * total + 3 * k, (spliced_rounds + 3) * logk)
+    return range(1, k + 1)

@@ -92,16 +92,33 @@ def maximal_matching_np(
             u = edge_u[live]
             v = edge_v[live]
             prio = uni.draw(k)
-            # per-vertex lexicographic min of (priority, eid): rank each
-            # live edge in that total order, then scatter-min the ranks —
-            # the float never decides a winner alone, eid breaks ties
-            # exactly as the tracked backend does
-            rank = np.empty(k, dtype=np.int64)
-            rank[np.lexsort((live, prio))] = np.arange(k)  # repro-lint: disable=R005
-            best = np.full(n, k, dtype=np.int64)
-            np.minimum.at(best, u, rank)
-            np.minimum.at(best, v, rank)
-            winners = live[(best[u] == rank) & (best[v] == rank)]
+            # per-vertex lexicographic min of (priority, eid), the tracked
+            # backend's order: scatter-min the priorities (every draw lies
+            # in [0, 1), so 2.0 marks a vertex without live edges). Unless
+            # two edges tie at a vertex's minimum, that vertex's minimum
+            # edge is the one at its minimum priority; each vertex with a
+            # live edge has at least one such edge, so there is no tie iff
+            # the edge ends at a minimum number the vertices with a live
+            # edge. A tie is decided by eid: rank the live edges in
+            # (priority, eid) order and scatter-min the ranks instead.
+            # The float compares below are IEEE-754 double compares of
+            # the very doubles the tracked backend compares with ``<``,
+            # and they pick a winner only where no two priorities tie.
+            best = np.full(n, 2.0)
+            np.minimum.at(best, u, prio)  # repro-lint: disable=R005 (exact double min; ties go to the eid ranks)
+            np.minimum.at(best, v, prio)  # repro-lint: disable=R005 (exact double min; ties go to the eid ranks)
+            at_u = best[u] == prio
+            at_v = best[v] == prio
+            ends = np.count_nonzero(at_u) + np.count_nonzero(at_v)
+            if ends == np.count_nonzero(best < 2.0):  # repro-lint: disable=R005 (2.0 lies above every draw in [0, 1))
+                winners = live[at_u & at_v]
+            else:
+                rank = np.empty(k, dtype=np.int64)
+                rank[np.lexsort((live, prio))] = np.arange(k)  # repro-lint: disable=R005
+                best_rank = np.full(n, k, dtype=np.int64)
+                np.minimum.at(best_rank, u, rank)
+                np.minimum.at(best_rank, v, rank)
+                winners = live[(best_rank[u] == rank) & (best_rank[v] == rank)]
             if winners.size:
                 chosen.append(winners)
                 matched[edge_u[winners]] = True

@@ -99,6 +99,26 @@ class Histogram:
         self.count += 1
         self.total += v
 
+    def observe_many(
+        self, count: int, total: int | float, vmin: int | float,
+        vmax: int | float,
+    ) -> None:
+        """Fold in ``count`` observations summing to ``total`` with
+        minimum ``vmin`` and maximum ``vmax``: the state that ``count``
+        :meth:`observe` calls leave, since the summary is order-free."""
+        if count <= 0:
+            return
+        if self.count == 0:
+            self.vmin = vmin
+            self.vmax = vmax
+        else:
+            if vmin < self.vmin:
+                self.vmin = vmin
+            if vmax > self.vmax:
+                self.vmax = vmax
+        self.count += count
+        self.total += total
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

@@ -75,7 +75,7 @@ def enabled() -> bool:
 
 def span(name: str, **attrs: Any):
     """Open a span on the active tracer (no-op span when disabled)."""
-    return _TRACER.span(name, **attrs)
+    return _TRACER.open(name, attrs)
 
 
 def traced(name: str, **attrs: Any):

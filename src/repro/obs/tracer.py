@@ -59,11 +59,13 @@ class Span:
         "depth0",
         "work_delta",
         "span_delta",
+        "_open",
     )
 
     def __init__(
         self, tracer: "Tracer", name: str, sid: int, parent: int | None,
         depth: int, attrs: dict[str, Any], tid: int = 1,
+        open_stack: "list[Span] | None" = None,
     ) -> None:
         self.tracer = tracer
         self.name = name
@@ -83,6 +85,9 @@ class Span:
         self.work_delta: int | None = None
         #: tracked span (PRAM depth) accumulated while open
         self.span_delta: int | None = None
+        #: the open-span stack of the thread that made the span (it
+        #: enters and exits there, in the ``with`` that made it)
+        self._open = open_stack if open_stack is not None else tracer._stack()
 
     def set(self, key: str, value: Any) -> None:
         """Attach/overwrite one structured attribute mid-flight."""
@@ -90,7 +95,7 @@ class Span:
 
     def __enter__(self) -> "Span":
         tr = self.tracer
-        tr._stack().append(self)
+        self._open.append(self)
         t = tr.tracker
         if t is not None:
             self.work0, self.depth0 = t.work, t.span
@@ -104,8 +109,7 @@ class Span:
         if t is not None:
             self.work_delta = t.work - self.work0
             self.span_delta = t.span - self.depth0
-        stack = tr._stack()
-        popped = stack.pop()
+        popped = self._open.pop()
         assert popped is self, "span stack corrupted (overlapping exits)"
         tr.spans.append(self)
 
@@ -191,19 +195,26 @@ class Tracer:
         Use as ``with tracer.span("separator.round", k=k) as sp: ...``;
         the span records itself on ``__exit__``.
         """
+        return self.open(name, attrs)
+
+    def open(self, name: str, attrs: dict[str, Any]) -> Span:
+        """:meth:`span` with the attributes as one dict, which the span
+        keeps (the form :func:`repro.obs.runtime.span` forwards)."""
         rid = current_request_id()
         if rid is not None and "request_id" not in attrs:
             attrs["request_id"] = rid
-        stack = self._stack()
-        top = stack[-1] if stack else None
+        tls = self._tls
+        try:
+            stack, tid = tls.stack, tls.tid
+        except AttributeError:  # the thread's first span
+            stack, tid = self._stack(), self._thread_tid()
+        if stack:
+            top = stack[-1]
+            parent, depth = top.sid, top.depth + 1
+        else:
+            parent, depth = None, 0
         return Span(
-            self,
-            name,
-            next(self._sid),
-            top.sid if top is not None else None,
-            top.depth + 1 if top is not None else 0,
-            attrs,
-            tid=self._thread_tid(),
+            self, name, next(self._sid), parent, depth, attrs, tid, stack
         )
 
     def wrap(self, name: str, **attrs: Any):
@@ -281,6 +292,9 @@ class NullTracer:
     spans: list = []  # intentionally shared and always empty
 
     def span(self, name: str, **attrs: Any) -> _NullSpan:
+        return _NULL_SPAN
+
+    def open(self, name: str, attrs: dict[str, Any]) -> _NullSpan:
         return _NULL_SPAN
 
     def open_spans(self) -> list:

@@ -261,7 +261,7 @@ class DynamicGraph:
             affected.update(self._hdt.component_vertices(r))
         if dels:
             eids = sorted(self._edge_eid.pop(p) for p in dels)
-            self._hdt.batch_delete(eids)
+            self._hdt.delete_edges(eids)
         if ins:
             new_eids = self._hdt.batch_insert(ins)
             for pair, eid in zip(ins, new_eids):

@@ -70,9 +70,6 @@ class ActiveNeighborStructure:
     def is_active(self, v: int) -> bool:
         return self.active[v]
 
-    def n_active_neighbors(self, v: int) -> int:
-        return self.trees[v].n_active
-
     # ------------------------------------------------------------------
     def make_inactive(self, vertices: Sequence[int]) -> None:
         """Deactivate ``vertices``: clear their entries in every neighbor's tree.

@@ -14,8 +14,9 @@ maintaining them per rotation:
 * the level-0 spanning forest lives in flat numpy arrays — ``parent``
   (a rooted orientation, roots arbitrary), ``plev`` (the level of each
   vertex's parent edge) and ``label`` (min-id component representative).
-  The initial build is one vectorized [TV85]+Wyllie pass
-  (:func:`repro.kernels.tour_flat.rebuild_rooted_forest`); after that the
+  The initial build roots each tree where the [TV85]+Wyllie tour build
+  roots it, by one traversal, and charges that build in closed form
+  (:func:`_charge_tour_build`); after that the
   orientation is maintained *surgically*: a cut resets the child's
   pointer in O(1), a replacement link re-roots the shallower side by one
   path reversal (each reversed edge carries its ``plev`` along), and a
@@ -70,9 +71,8 @@ import numpy as np
 from ..graph.graph import Graph
 from ..graph.connectivity import spanning_forest
 from ..kernels.dispatch import resolve_backend
-from ..kernels.tour_flat import rebuild_rooted_forest
 from ..obs import runtime as obs
-from ..pram.tracker import Tracker
+from ..pram.tracker import Tracker, log2_ceil
 from .hdt import ForestChange
 
 __all__ = ["FlatForest", "FlatAbsorptionStructure"]
@@ -81,12 +81,38 @@ __all__ = ["FlatForest", "FlatAbsorptionStructure"]
 #: sentinel for "vertex holds no key" in the packed key array; larger than
 #: any real packed key (keys are ``-depth * n + v`` with depth >= 0)
 NO_KEY = np.int64(1) << np.int64(62)
+#: NO_KEY as a Python int, for per-element code reading ``keys`` through
+#: its memoryview
+_NO_KEY = int(NO_KEY)
 
 #: smallest F_i side the replacement search takes from arrays: a BFS
 #: that has popped this many vertices on each side without exhausting
 #: one hands over to one masked pointer-doubling pass over the level-0
 #: tree (and every lower level of the same cut goes there directly)
 _ARRAY_SIDE = 512
+
+
+def _charge_tour_build(t: Tracker, n: int, m: int, longest: int) -> None:
+    """Charge the vectorized rooted-forest build of ``m`` tree edges on
+    ``n`` vertices whose largest tree has ``longest`` edges: [TV85] tour
+    successors, cycle leaders by pointer-doubling min-aggregation and
+    Wyllie ranks of the cut cycles (Lemma 2.4).
+
+    Each pass charges by sizes alone: the successor sort the 2m arcs at
+    one log span; Wyllie pointer jumping over lists of at most
+    ``2 * longest`` arcs ``ceil(log2(2 * longest))`` rounds, a node at
+    position p being done after the first round r with ``2^r > p``; the
+    leader doubling ``(2m).bit_length() + 1`` rounds over all arcs, plus
+    the reset of the n vertices."""
+    if m == 0:
+        return
+    arcs = 2 * m
+    lg = log2_ceil(max(2, arcs)) + 1
+    t.charge(arcs, lg)
+    wyllie = log2_ceil(2 * longest)
+    t.charge(max(1, wyllie) * arcs + arcs, (wyllie + 1) * lg)
+    doubling = arcs.bit_length() + 1
+    t.charge(arcs * doubling + n, doubling * lg)
 
 
 class FlatForest:
@@ -136,8 +162,19 @@ class FlatForest:
         self.label = np.arange(g.n, dtype=np.int64)
         #: scratch: vertex -> position in the component _side_arrays scans
         self._pos = np.zeros(g.n, dtype=np.int64)
+        #: vertex ids; ``_ids[x:x + 1]`` is the member array of a vertex
+        #: split off alone (a view, no allocation of its own)
+        self._ids = np.arange(g.n, dtype=np.int64)
         #: packed lowest-neighbor keys (key * n + v, NO_KEY if unset)
         self.keys = np.full(g.n, NO_KEY, dtype=np.int64)
+        # per-element code reads and writes the four arrays through
+        # memoryviews: an element comes back as a Python int, with no
+        # numpy scalar to box and unbox; the arrays serve the vectorized
+        # passes (the arrays are updated in place, never replaced)
+        self._parent_mv = memoryview(self.parent)
+        self._plev_mv = memoryview(self.plev)
+        self._label_mv = memoryview(self.label)
+        self._keys_mv = memoryview(self.keys)
         #: label -> lazy min-heap of packed keys; an entry is live while
         #: ``keys[v]`` still equals it and v still carries the label
         self._heaps: dict[int, list[int]] = {}
@@ -146,9 +183,10 @@ class FlatForest:
         self._members: dict[int, np.ndarray] = {}
         #: label -> exact component size
         self._size: dict[int, int] = {}
-        #: (temporary token, size) of each unrepaired split of the
-        #: in-flight batch, consumed by _finalize_batch
-        self._pieces: list[tuple[int, int]] = []
+        #: (temporary token, size, vertex) of each unrepaired split of
+        #: the in-flight batch, consumed by _finalize_batch; ``vertex`` is
+        #: the piece's only vertex, or -1 for a larger piece
+        self._pieces: list[tuple[int, int, int]] = []
         # observability: finalize passes/sizes replace rotation counts
         self._c_promote = obs.metrics().counter("hdt.promotions")
         self._h_scan = obs.metrics().histogram("hdt.replacement_scan")
@@ -157,56 +195,59 @@ class FlatForest:
 
         t = self.t
         _, forest = spanning_forest(g, t, backend=self.kernel_backend)
-        for eid in forest:
-            u, v = self.endpoints[eid]
-            self.is_tree[eid] = True
-            self.adj[u][v] = eid
-            self.adj[v][u] = eid
+        endpoints, is_tree, adj = self.endpoints, self.is_tree, self.adj
+        for eid in forest:  # repro-lint: disable=R001 (charged below)
+            u, v = endpoints[eid]
+            is_tree[eid] = True
+            adj[u][v] = eid
+            adj[v][u] = eid
         nontree0 = self.nontree[0]
-        for eid in range(g.m):
-            if self.is_tree[eid]:
-                continue
-            u, v = self.endpoints[eid]
-            nontree0[u].add(eid)
-            nontree0[v].add(eid)
+        for eid, tree in enumerate(is_tree):  # repro-lint: disable=R001
+            if not tree:
+                u, v = endpoints[eid]
+                nontree0[u].add(eid)
+                nontree0[v].add(eid)
         #: per vertex: bit i set iff ``nontree[i][x]`` is non-empty
         self.ntmask: list[int] = [1 if s else 0 for s in nontree0]
-        # initial full build: parent orientation + canonical min-id labels
-        # in one vectorized [TV85]+Wyllie pass (depth is scratch — path
-        # queries are depth-free, see find_path_s2p)
-        eu = np.fromiter(
-            (self.endpoints[e][0] for e in forest),
-            dtype=np.int64, count=len(forest),
-        )
-        ev = np.fromiter(
-            (self.endpoints[e][1] for e in forest),
-            dtype=np.int64, count=len(forest),
-        )
-        members = np.arange(g.n, dtype=np.int64)
-        rebuild_rooted_forest(
-            self.parent, np.zeros(g.n, dtype=np.int64), self.label,
-            members, eu, ev, t,
-        )
+        # initial build: parent orientation, canonical min-id labels and
+        # member arrays (no depth — path queries are depth-free, see
+        # find_path_s2p). Each tree is rooted where the [TV85] tour build
+        # roots it: at the tail of its leader arc, its first edge in
+        # ``forest`` order (arc e is u -> v of the e-th forest edge and
+        # precedes every twin arc). Tree paths are unique, so a traversal
+        # from that root gives the orientation the tour ranks give.
+        parent, label = self._parent_mv, self._label_mv
+        members, sizes, ids = self._members, self._size, self._ids
+        seen = bytearray(g.n)
+        longest = 0
+        for eid in forest:  # repro-lint: disable=R001 (charged below)
+            root = endpoints[eid][0]
+            if seen[root]:
+                continue
+            seen[root] = 1
+            tree = [root]
+            for x in tree:  # repro-lint: disable=R001
+                for y in adj[x]:  # repro-lint: disable=R001,R002
+                    if not seen[y]:
+                        seen[y] = 1
+                        parent[y] = x
+                        tree.append(y)
+            tree.sort()
+            mn = tree[0]
+            for x in tree:  # repro-lint: disable=R001
+                label[x] = mn
+            members[mn] = np.array(tree, dtype=np.int64)
+            sizes[mn] = len(tree)
+            longest = max(longest, len(tree) - 1)
+        for x in np.flatnonzero(np.frombuffer(seen, dtype=np.uint8) == 0).tolist():  # repro-lint: disable=R001
+            members[x] = ids[x : x + 1]
+            sizes[x] = 1
         self.plev[self.parent >= 0] = 0
+        _charge_tour_build(t, g.n, len(forest), longest)
         self._c_rebuild.value += 1
         self._h_rebuild.observe(g.n)
-        self._group_members()
         lg = (max(2, g.n) - 1).bit_length() + 1
         t.charge(g.m + g.n, lg)
-
-    def _group_members(self) -> None:
-        """Build the label -> members map and sizes from ``label``."""
-        order = np.argsort(self.label, kind="stable")
-        sorted_labs = self.label[order]
-        starts = np.flatnonzero(
-            np.diff(sorted_labs, prepend=sorted_labs[:1] - 1)
-        ).tolist() + [self.n]
-        # O(#components) dict updates; the caller charges the build pass
-        for gi in range(len(starts) - 1):  # repro-lint: disable=R001
-            lo, hi = starts[gi], starts[gi + 1]
-            lab = int(sorted_labs[lo])
-            self._members[lab] = order[lo:hi]
-            self._size[lab] = hi - lo
 
     # ------------------------------------------------------------------
     # per-batch finalize core
@@ -216,19 +257,22 @@ class FlatForest:
 
         ``affected`` holds the sorted pre-batch labels of every component
         that lost a tree edge and ``total`` their pre-batch sizes summed;
-        ``self._pieces`` the (token, size) of every split the HDT search
-        could not repair. Only the pieces are relabeled and get a fresh
-        key heap; a pre-batch component keeps its label, member array and
-        heap unless its min vertex left with a piece, in which case its
-        remainder moves to its new min id. The charge is unchanged from
-        a full rescan of the affected components: O(affected) work."""
-        label = self.label
+        ``self._pieces`` the (token, size, vertex) of every split the HDT
+        search could not repair. Only the pieces are relabeled and get a
+        fresh key heap; a pre-batch component keeps its label, member
+        array and heap unless its min vertex left with a piece, in which
+        case its remainder moves to its new min id. The charge is
+        unchanged from a full rescan of the affected components:
+        O(affected) work."""
+        label, label_mv = self.label, self._label_mv
         keys = self.keys
         members = self._members
-        for lab in affected:
-            if label[lab] == lab:
+        sizes = self._size
+        heaps = self._heaps
+        for lab in affected:  # repro-lint: disable=R001 (charged below)
+            if label_mv[lab] == lab:
                 arr = members[lab]
-                if arr.size > 2 * self._size[lab]:
+                if arr.size > 2 * sizes[lab]:
                     members[lab] = arr[label[arr] == lab]
                 continue
             arr = members.pop(lab)
@@ -236,36 +280,39 @@ class FlatForest:
             mn = int(mem[0])
             label[mem] = mn
             members[mn] = mem
-            self._size[mn] = self._size.pop(lab)
-            heap = self._heaps.pop(lab, None)
+            sizes[mn] = sizes.pop(lab)
+            heap = heaps.pop(lab, None)
             if heap:
-                self._heaps[mn] = heap
-        for token, size in self._pieces:
+                heaps[mn] = heap
+        pieces = self._pieces
+        ids = self._ids
+        for token, size, x in pieces:  # repro-lint: disable=R001 (charged below)
             # the slot counts the piece at its split (charged as such);
             # later splits of the same batch only shrink what carries
             # the token
             total += size
-            arr = members.pop(token)
-            del self._size[token]
-            if size == 1:
-                # an isolated vertex (the common case: an absorbed one)
-                mn = int(arr[0])
-                label[mn] = mn
-                members[mn] = arr
-                self._size[mn] = 1
-                if keys[mn] != NO_KEY:
-                    self._heaps[mn] = [int(keys[mn])]
+            if x >= 0:
+                # a vertex split off alone (the common case: an absorbed
+                # one) has no edge left, so no later split touched it
+                label_mv[x] = x
+                members[x] = ids[x : x + 1]
+                sizes[x] = 1
+                key = self._keys_mv[x]
+                if key != _NO_KEY:
+                    heaps[x] = [key]
                 continue
+            arr = members.pop(token)
+            del sizes[token]
             mem = arr[label[arr] == token]
             mn = int(mem[0])
             label[mem] = mn
             members[mn] = mem
-            self._size[mn] = int(mem.size)
+            sizes[mn] = int(mem.size)
             sel = keys[mem]
             sel = sel[sel != NO_KEY]
             if sel.size:
-                self._heaps[mn] = np.sort(sel).tolist()
-        entries = len(affected) + len(self._pieces)
+                heaps[mn] = np.sort(sel).tolist()
+        entries = len(affected) + len(pieces)
         self._pieces = []
         self._c_rebuild.value += 1
         self._h_rebuild.observe(total)
@@ -276,17 +323,18 @@ class FlatForest:
     # queries (level-0 forest)
     # ------------------------------------------------------------------
     def connected(self, u: int, v: int) -> bool:
-        return u == v or self.label[u] == self.label[v]
+        label = self._label_mv
+        return u == v or label[u] == label[v]
 
     def component_rep(self, v: int) -> int:
-        return int(self.label[v])
+        return self._label_mv[v]
 
     def component_size(self, v: int) -> int:
-        return self._size[int(self.label[v])]
+        return self._size[self._label_mv[v]]
 
     def component_vertices(self, v: int) -> list[int]:
         """v's component in ascending order (O(its member array))."""
-        lab = int(self.label[v])
+        lab = self._label_mv[v]
         arr = self._members[lab]
         return arr[self.label[arr] == lab].tolist()
 
@@ -309,25 +357,38 @@ class FlatForest:
     # ------------------------------------------------------------------
     def set_vertex_key(self, v: int, key: int | None) -> None:
         """Set/clear v's lowest-neighbor key (key = -depth, lex argmin)."""
-        packed = NO_KEY if key is None else key * self.n + v
-        if packed == self.keys[v]:
-            return
-        self.keys[v] = packed
-        lab = int(self.label[v])
-        if key is not None:
-            heappush(self._heaps.setdefault(lab, []), packed)
-        elif self._size[lab] == 1:
-            # an isolated vertex (a retired one, in the driver) has no
-            # other key: drop its heap instead of keeping a dead entry
-            self._heaps.pop(lab, None)
+        self.set_vertex_keys(((v, key),))
+
+    def set_vertex_keys(self, pairs: Iterable[tuple[int, int | None]]) -> None:
+        """:meth:`set_vertex_key` for each ``(v, key)`` pair, in order."""
+        keys, label, sizes, heaps, n = (
+            self._keys_mv, self._label_mv, self._size, self._heaps, self.n,
+        )
+        for v, key in pairs:  # repro-lint: disable=R001 (caller charges)
+            packed = _NO_KEY if key is None else key * n + v
+            if packed == keys[v]:
+                continue
+            keys[v] = packed
+            lab = label[v]
+            if key is not None:
+                heap = heaps.get(lab)
+                if heap is None:
+                    heaps[lab] = [packed]
+                else:
+                    heappush(heap, packed)
+            elif sizes[lab] == 1:
+                # an isolated vertex (an absorbed one, in absorption) has no
+                # other key: drop its heap instead of keeping a dead entry
+                heaps.pop(lab, None)
 
     def component_min_key(self, v: int) -> tuple[int, int] | None:
         """Lex-min ``(key, vertex)`` in v's component, or None."""
-        lab = int(self.label[v])
+        label = self._label_mv
+        lab = label[v]
         heap = self._heaps.get(lab)
         if not heap:
             return None
-        keys, label, n = self.keys, self.label, self.n
+        keys, n = self._keys_mv, self.n
         # drop entries whose key changed or whose vertex split away; each
         # entry is pushed once and popped at most once (lazy deletion)
         while heap:  # repro-lint: disable=R001
@@ -354,7 +415,7 @@ class FlatForest:
         if not self._own_incidence:
             self._adj_eids = [list(eids) for eids in self._adj_eids]
             self._own_incidence = True
-        label, nontree0, ntmask = self.label, self.nontree[0], self.ntmask
+        label, nontree0, ntmask = self._label_mv, self.nontree[0], self.ntmask
         eids: list[int] = []
         work = len(pairs)
         for u, v in pairs:  # repro-lint: disable=R001 (charged below)
@@ -364,7 +425,7 @@ class FlatForest:
             self.level.append(0)
             self._adj_eids[u].append(eid)
             self._adj_eids[v].append(eid)
-            lu, lv = int(label[u]), int(label[v])
+            lu, lv = label[u], label[v]
             self.is_tree.append(lu != lv)
             if lu == lv:
                 nontree0[u].add(eid)
@@ -410,38 +471,204 @@ class FlatForest:
         component representative, groups in sorted-rep order, edges within
         a group in input (ascending eid) order, replacement scans sorted.
         """
-        with obs.span("hdt.batch_delete", batch=len(eids)):
-            return self._batch_delete(eids)
-
-    def _batch_delete(self, eids: Sequence[int]) -> list[ForestChange]:
         changes: list[ForestChange] = []
-        tree_eids: list[int] = []
-        alive, is_tree = self.alive, self.is_tree
-        for eid in eids:
+        with obs.span("hdt.batch_delete", batch=len(eids)):
+            self._batch_delete(eids, changes)
+        return changes
+
+    def delete_edges(self, eids: Sequence[int]) -> None:
+        """:meth:`batch_delete` for a caller that does not read the
+        change stream: the same deletions, charges and metrics, with no
+        ForestChange built."""
+        with obs.span("hdt.batch_delete", batch=len(eids)):
+            self._batch_delete(eids, None)
+
+    def _batch_delete(
+        self, eids: Sequence[int], changes: list[ForestChange] | None
+    ) -> None:
+        alive, is_tree, level, endpoints = (
+            self.alive, self.is_tree, self.level, self.endpoints,
+        )
+        nontree, ntmask, label = self.nontree, self.ntmask, self._label_mv
+        # deleted tree edges grouped by pre-batch component representative
+        groups: dict[int, list[int]] = {}
+        for eid in eids:  # repro-lint: disable=R001 (charged below)
             if not alive[eid]:
                 raise ValueError(f"edge {eid} already deleted")
             alive[eid] = False
+            a, b = endpoints[eid]
             if is_tree[eid]:
-                tree_eids.append(eid)
-            else:
-                self._drop_nontree(eid, self.level[eid])
-        if not tree_eids:
-            return changes
-        groups: dict[int, list[int]] = {}
-        for eid in tree_eids:
-            rep = int(self.label[self.endpoints[eid][0]])
-            groups.setdefault(rep, []).append(eid)
-        total = sum(self._size[rep] for rep in groups)
-        for rep in sorted(groups):
-            for eid in groups[rep]:
-                changes.extend(self._delete_tree_edge(eid))
+                rep = label[a]
+                group = groups.get(rep)
+                if group is None:
+                    groups[rep] = [eid]
+                else:
+                    group.append(eid)
+                continue
+            # a non-tree edge leaves its level's sets (_drop_nontree)
+            i = level[eid]
+            nontree_i = nontree[i]
+            s = nontree_i[a]
+            s.discard(eid)
+            if not s:
+                ntmask[a] &= ~(1 << i)
+            s = nontree_i[b]
+            s.discard(eid)
+            if not s:
+                ntmask[b] &= ~(1 << i)
+        if not groups:
+            return
+        sizes = self._size
+        reps = sorted(groups)
+        total = sum(sizes[rep] for rep in reps)
+
+        # cut the tree edges group by group, in input order within each
+        adj, parent, plev = self.adj, self._parent_mv, self._plev_mv
+        pieces = self._pieces
+        endpoint_side, side_bfs = self._endpoint_side, self._side_bfs
+        side_arrays, next_level = self._side_arrays, self._next_level
+        # charges and metric observations accumulate over the batch and
+        # land once (the tracker and the histogram only sum them); each
+        # cut is charged once per F_i it leaves, and observes one
+        # replacement scan per level it visits, idle levels observing 0
+        work = span = 0
+        seen = scanned_total = scanned_max = 0
+        scanned_min = 1 << 62
+        promoted = 0
+        for rep in reps:  # repro-lint: disable=R001 (charged per cut)
+            for eid in groups[rep]:  # repro-lint: disable=R001
+                u, v = endpoints[eid]
+                lvl = level[eid]
+                is_tree[eid] = False
+                if changes is not None:
+                    changes.append(ForestChange("cut", u, v))
+                del adj[u][v]
+                del adj[v][u]
+                # O(1) parent surgery: the child side keeps its whole
+                # subtree orientation and just becomes a root
+                if parent[v] == u:
+                    child = v
+                else:
+                    assert parent[u] == v, "cut edge not parent-linked"
+                    child = u
+                parent[child] = -1
+                plev[child] = -1
+                if lvl + 1 == len(nontree):
+                    self._grow(lvl + 1)
+                work += lvl + 1
+                span += 1
+                linked = False
+                large = False
+                i = lvl
+                while i >= 0:
+                    # a search at level i: the small F_i side (ties to u),
+                    # its exactly-level-i tree edges, and two level masks
+                    # — lmask for the tree edges leaving the side (all
+                    # below i), nmask for the side's non-tree edges
+                    found = endpoint_side(i, u, v)
+                    if found is None and not large:
+                        found = side_bfs(i, u, v, _ARRAY_SIDE)
+                    if found is None:
+                        # |S_i| >= |S_{i+1}|: every lower level is large too
+                        large = True
+                        found = side_arrays(i, u, v)
+                    won_u, side, arcs, lmask, nmask = found
+                    # what the two-pass search charged per level: the
+                    # alternating BFS's 2 per popped vertex (4|S| when u
+                    # wins, 4|S|+2 when v wins, 2 for an isolated
+                    # endpoint) plus a collect pass over the side's F_i
+                    # tree, |S| + 2(|S|-1); + 2 for promote and scan
+                    step = 5 if len(side) == 1 else 7 * len(side) + (0 if won_u else 2)
+
+                    # 1) promote the side's level-i tree edges to i+1
+                    if arcs:
+                        work += len(arcs)
+                        promoted += len(arcs)
+                        self._promote(i, arcs)
+
+                    while True:
+                        # search (or reuse), promote and scan at level i;
+                        # span: 8 + 8 for search and collect, 1 each for
+                        # promote and scan
+                        work += step
+                        span += 18
+                        seen += 1
+
+                        # 2) scan level-i non-tree edges in ascending eid
+                        #    order
+                        if not nmask >> i & 1:
+                            scanned_min = 0
+                        else:
+                            f, scanned, cands = self._scan(i, side)
+                            promoted += scanned - (f >= 0)
+                            work += cands + scanned
+                            scanned_total += scanned
+                            if scanned > scanned_max:
+                                scanned_max = scanned
+                            if scanned < scanned_min:
+                                scanned_min = scanned
+                            if f >= 0:
+                                a, b = endpoints[f]
+                                is_tree[f] = True
+                                level[f] = i
+                                adj[a][b] = f
+                                adj[b][a] = f
+                                self._link_parents(a, b, i)
+                                if changes is not None:
+                                    changes.append(ForestChange("link", a, b))
+                                linked = True
+                                break
+
+                        # every level strictly between i and the next one
+                        # with a bit in either mask keeps this side (no
+                        # tree edge of that level leaves it) and has
+                        # nothing to promote (its tree edges are all >= i)
+                        # or scan: what a search there would have charged
+                        # and observed, in closed form
+                        j = next_level(i, lmask | nmask)
+                        idle = i - 1 - j
+                        if idle:
+                            work += idle * step
+                            span += 18 * idle
+                            seen += idle
+                            scanned_min = 0
+                        i = j
+                        if i < 0 or lmask >> i & 1:
+                            # a tree edge of level i leaves the side:
+                            # search again
+                            break
+                    if linked:
+                        break
+                if linked:
+                    continue
+
+                # the component split for good: stamp the level-0 small
+                # side with a unique temporary token; _finalize_batch
+                # turns tokens into canonical min-id labels
+                token = -(len(pieces) + 1)
+                cur = label[u]
+                n_side = len(side)
+                if n_side == 1:
+                    x = side[0]
+                    label[x] = token
+                    pieces.append((token, 1, x))
+                else:
+                    arr = np.array(side, dtype=np.int64)
+                    arr.sort()
+                    self.label[arr] = token
+                    self._members[token] = arr
+                    sizes[token] = n_side
+                    pieces.append((token, n_side, -1))
+                sizes[cur] -= n_side
+
+        self._c_promote.value += promoted
+        self._h_scan.observe_many(seen, scanned_total, scanned_min, scanned_max)
         # re-canonicalize every touched component: replacement links never
         # leave the pre-batch component, so the pre-batch labels of the
         # deleted tree edges (the group keys) plus the recorded split
         # pieces cover every vertex whose label may have changed.
-        self._finalize_batch(sorted(groups), total)
-        self.t.charge(len(eids), 8)
-        return changes
+        self._finalize_batch(reps, total)
+        self.t.charge(work + len(eids), span + 8)
 
     def _drop_nontree(self, f: int, i: int) -> None:
         """Take non-tree edge f out of level i's sets, clearing the mask
@@ -453,145 +680,48 @@ class FlatForest:
             if not s:
                 ntmask[x] &= ~(1 << i)
 
-    def _delete_tree_edge(self, eid: int) -> list[ForestChange]:
-        u, v = self.endpoints[eid]
-        lvl = self.level[eid]
-        self.is_tree[eid] = False
-        changes = [ForestChange("cut", u, v)]
-        del self.adj[u][v]
-        del self.adj[v][u]
-        # O(1) parent surgery: the child side keeps its whole subtree
-        # orientation and just becomes a root
-        parent = self.parent
-        if parent[v] == u:
-            child = v
-        else:
-            assert parent[u] == v, "cut edge not parent-linked"
-            child = u
-        parent[child] = -1
-        self.plev[child] = -1
-        if lvl + 1 == len(self.nontree):
-            self._grow(lvl + 1)
-
-        # charges accumulate locally and land once per cut (the tracker
-        # only sums them); the cut is charged once per F_i it leaves
-        work, span = lvl + 1, 1
-        endpoints, level, nontree, ntmask = (
-            self.endpoints, self.level, self.nontree, self.ntmask,
-        )
-        observe = self._h_scan.observe
-        large = False
-        i = lvl
-        while i >= 0:
-            # a search at level i: the small F_i side (ties to u), its
-            # exactly-level-i tree edges, and two level masks — lmask for
-            # the tree edges leaving the side (all below i), nmask for the
-            # side's non-tree edges
-            found = self._endpoint_side(i, u, v)
-            if found is None and not large:
-                found = self._side_bfs(i, u, v, _ARRAY_SIDE)
-            if found is None:
-                # |S_i| >= |S_{i+1}|: every lower level is large too
-                large = True
-                found = self._side_arrays(i, u, v)
-            won_u, side, arcs, lmask, nmask = found
-            # what the two-pass search charged per level: the alternating
-            # BFS's 2 per popped vertex (4|S| when u wins, 4|S|+2 when v
-            # wins, 2 for an isolated endpoint) plus a collect pass over
-            # the side's F_i tree, |S| + 2(|S|-1)
-            cost = 3 if len(side) == 1 else 7 * len(side) - (2 if won_u else 0)
-
-            # 1) promote the side's level-i tree edges to i+1
-            work += len(arcs)
-            if arcs:
-                self._c_promote.value += len(arcs)
-                self._promote(i, arcs)
-
-            side_set: set[int] | None = None
-            while True:
-                # search (or reuse), promote and scan at level i; span:
-                # 8 + 8 for search and collect, 1 each for promote, scan
-                work += cost + 2
-                span += 18
-
-                # 2) scan level-i non-tree edges in ascending eid order
-                replacement = None
-                scanned = 0
-                if nmask >> i & 1:
-                    if side_set is None:
-                        side_set = set(side)
-                    nontree_i = nontree[i]
-                    cand: set[int] = set()
-                    for x in side:  # repro-lint: disable=R001 (charged as the collect pass)
-                        if ntmask[x] >> i & 1:
-                            cand.update(nontree_i[x])
-                    nontree_up = nontree[i + 1]
-                    up = 1 << (i + 1)
-                    # usually the smallest candidate already leaves the
-                    # side: take it without sorting the rest
-                    first = min(cand)
-                    a, b = endpoints[first]
-                    head = (first,) if a not in side_set or b not in side_set else ()
-                    for f in head or sorted(cand):
-                        scanned += 1
-                        self._drop_nontree(f, i)
-                        a, b = endpoints[f]
-                        if a in side_set and b in side_set:
-                            self._c_promote.value += 1
-                            level[f] = i + 1
-                            nontree_up[a].add(f)
-                            nontree_up[b].add(f)
-                            ntmask[a] |= up
-                            ntmask[b] |= up
-                        else:
-                            replacement = f
-                            break
-                    work += len(cand)
-                observe(scanned)
-                work += scanned
-
-                if replacement is not None:
-                    self.t.charge(work, span)
-                    a, b = endpoints[replacement]
-                    self.is_tree[replacement] = True
-                    level[replacement] = i
-                    self.adj[a][b] = replacement
-                    self.adj[b][a] = replacement
-                    self._link_parents(a, b, i)
-                    changes.append(ForestChange("link", a, b))
-                    return changes
-
-                # every level strictly between i and the next one with a
-                # bit in either mask keeps this side (no tree edge of that
-                # level leaves it) and has nothing to promote (its tree
-                # edges are all >= i) or scan: what a search there would
-                # have charged and observed, in closed form
-                j = self._next_level(i, lmask | nmask)
-                idle = i - 1 - j
-                work += idle * (cost + 2)
-                span += 18 * idle
-                for _ in range(idle):  # repro-lint: disable=R001 (charged above)
-                    observe(0)
-                i = j
-                if i < 0 or lmask >> i & 1:
-                    # a tree edge of level i leaves the side: search again
-                    break
-
-        self.t.charge(work, span)
-        # the component split for good: stamp the level-0 small side with
-        # a unique temporary token; _finalize_batch turns tokens into
-        # canonical min-id labels
-        token = -(len(self._pieces) + 1)
-        arr = np.array(side, dtype=np.int64)
-        if len(side) > 1:
-            arr.sort()
-        cur = int(self.label[u])
-        self.label[arr] = token
-        self._members[token] = arr
-        self._size[token] = len(side)
-        self._size[cur] -= len(side)
-        self._pieces.append((token, len(side)))
-        return changes
+    def _scan(self, i: int, side: list[int]):
+        """Scan the side's level-i non-tree edges in ascending eid order
+        until one leaves the side; every edge scanned before it has both
+        ends in the side and moves up to level i+1. Returns ``(the
+        leaving edge or -1, edges scanned, candidates)`` (uncharged: the
+        caller charges the candidates and the scanned edges)."""
+        nontree, ntmask, endpoints = self.nontree, self.ntmask, self.endpoints
+        nontree_i = nontree[i]
+        if len(side) == 1:
+            # every non-tree edge of a lone vertex leaves it
+            cand = nontree_i[side[0]]
+            first, n_cand = min(cand), len(cand)
+            self._drop_nontree(first, i)
+            return first, 1, n_cand
+        cand: set[int] = set()
+        for x in side:  # repro-lint: disable=R001 (charged as the collect pass)
+            if ntmask[x] >> i & 1:
+                cand.update(nontree_i[x])
+        side_set = set(side)
+        # usually the smallest candidate already leaves the side: take it
+        # without sorting the rest
+        first = min(cand)
+        a, b = endpoints[first]
+        if a not in side_set or b not in side_set:
+            self._drop_nontree(first, i)
+            return first, 1, len(cand)
+        level = self.level
+        nontree_up = nontree[i + 1]
+        up = 1 << (i + 1)
+        scanned = 0
+        for f in sorted(cand):  # repro-lint: disable=R001
+            scanned += 1
+            self._drop_nontree(f, i)
+            a, b = endpoints[f]
+            if a not in side_set or b not in side_set:
+                return f, scanned, len(cand)
+            level[f] = i + 1
+            nontree_up[a].add(f)
+            nontree_up[b].add(f)
+            ntmask[a] |= up
+            ntmask[b] |= up
+        return -1, scanned, len(cand)
 
     def _next_level(self, i: int, mask: int) -> int:
         """The highest level below i with a bit set in ``mask``, or -1."""
@@ -600,7 +730,7 @@ class FlatForest:
     def _promote(self, i: int, arcs: list[int]) -> None:
         """Move the tree edges ``arcs`` from level i to i+1."""
         level, endpoints, parent, plev = (
-            self.level, self.endpoints, self.parent, self.plev,
+            self.level, self.endpoints, self._parent_mv, self._plev_mv,
         )
         # charged by the caller (one unit per edge)
         for f in arcs:  # repro-lint: disable=R001
@@ -618,16 +748,16 @@ class FlatForest:
         root-independent — so any deterministic choice is canonical. Each
         reversed edge carries its level along (``plev`` of the old child
         moves to the new child)."""
-        parent, plev = self.parent, self.plev
+        parent, plev = self._parent_mv, self._plev_mv
         pa = [a]
         pb = [b]
         while True:
-            nxt = int(parent[pa[-1]])
+            nxt = parent[pa[-1]]
             if nxt == -1:
                 chain, anchor = pa, b
                 break
             pa.append(nxt)
-            nxt = int(parent[pb[-1]])
+            nxt = parent[pb[-1]]
             if nxt == -1:
                 chain, anchor = pb, a
                 break
@@ -654,10 +784,10 @@ class FlatForest:
 
         Its tree edges all leave it below level i: their levels are its
         lmask."""
-        level = self.level
+        adj, level = self.adj, self.level
         for x in (u, v):  # repro-lint: disable=R001 (two endpoints)
             lmask = 0
-            for f in self.adj[x].values():  # repro-lint: disable=R001,R002
+            for f in adj[x].values():  # repro-lint: disable=R001,R002
                 k = level[f]
                 if k >= i:
                     break
@@ -960,7 +1090,7 @@ class FlatAbsorptionStructure:
         hdt = self.hdt
         if not hdt.connected(v, q):
             raise ValueError(f"{v} and {q} are in different trees")
-        parent = hdt.parent
+        parent = hdt._parent_mv
         if v == q:
             path = [v]
         else:
@@ -968,7 +1098,7 @@ class FlatAbsorptionStructure:
             iv, iq = {v: 0}, {q: 0}
             path = None
             while path is None:
-                x = int(parent[pv[-1]])
+                x = parent[pv[-1]]
                 if x >= 0:
                     j = iq.get(x)
                     if j is not None:
@@ -976,7 +1106,7 @@ class FlatAbsorptionStructure:
                         continue
                     iv[x] = len(pv)
                     pv.append(x)
-                y = int(parent[pq[-1]])
+                y = parent[pq[-1]]
                 if y >= 0:
                     i = iv.get(y)
                     if i is not None:
@@ -1003,47 +1133,59 @@ class FlatAbsorptionStructure:
     def batch_delete(self, deleted: Sequence[tuple[int, int]]) -> None:
         """Delete absorbed vertices from H (same contract and canonical
         witness reduction as the tracked structure's ``batch_delete``)."""
-        dead = [v for v, _ in deleted]
-        dead_set = set(dead)
+        hdt = self.hdt
+        gone = self.deleted
+        dead_set = {v for v, _ in deleted}
 
         # 1) gather the incident edges and snapshot each surviving
         #    H-neighbor's (depth, vertex) lex-max witness
         neighbor_updates: dict[int, tuple[int, int]] = {}
         eids: set[int] = set()
         gathered = 0
-        live_incident, endpoints = self.hdt.live_incident, self.hdt.endpoints
-        for v, d in deleted:
-            if v in self.deleted:
+        alive, endpoints, incidence = hdt.alive, hdt.endpoints, hdt._adj_eids
+        for v, d in deleted:  # repro-lint: disable=R001 (charged below)
+            if v in gone:
                 raise ValueError(f"vertex {v} deleted twice")
-            inc = live_incident(v)
-            gathered += len(inc)
-            eids.update(inc)
-            for eid in inc:
-                u, w = endpoints[eid]
-                nb = w if u == v else u
+            for eid in incidence[v]:  # repro-lint: disable=R001
+                if not alive[eid]:
+                    continue
+                gathered += 1
+                eids.add(eid)
+                a, b = endpoints[eid]
+                nb = b if a == v else a
                 if nb not in dead_set:
                     cur = neighbor_updates.get(nb)
-                    if cur is None or (d, v) > cur:
+                    if cur is None or d > cur[0] or (d == cur[0] and v > cur[1]):
                         neighbor_updates[nb] = (d, v)
 
         # 2) delete all incident edges in one HDT batch (rebuild inside)
-        self.t.charge(len(dead) + gathered, 8)
+        self.t.charge(len(deleted) + gathered, 8)
         self._c_bd.value += 1
         self._h_bd_edges.observe(gathered)
-        self.hdt.batch_delete(sorted(eids))
+        hdt.delete_edges(sorted(eids))
 
         # 3) retire the dead vertices
-        for v in dead:
-            self.deleted.add(v)
-            self.q_remaining.discard(v)
-            self.hdt.set_vertex_key(v, None)
-            self.low_witness.pop(v, None)
+        q_remaining, low_witness = self.q_remaining, self.low_witness
+        for v, _ in deleted:  # repro-lint: disable=R001
+            gone.add(v)
+            q_remaining.discard(v)
+            low_witness.pop(v, None)
+        hdt.set_vertex_keys([(v, None) for v, _ in deleted])
 
-        # 4) surviving neighbors learn their new lowest tree neighbor
+        # 4) surviving neighbors learn their new lowest tree neighbor:
+        #    set_tree_neighbor for each, its one op apiece charged at once
+        self.t.op(len(neighbor_updates))
         alias = self.global_of
-        for nb in sorted(neighbor_updates):
+        raised: list[tuple[int, int]] = []
+        for nb in sorted(neighbor_updates):  # repro-lint: disable=R001
+            if nb in gone:
+                continue
             d, w = neighbor_updates[nb]
-            self.set_tree_neighbor(nb, alias[w] if alias is not None else w, d)
+            cur = low_witness.get(nb)
+            if cur is None or d > cur[0]:
+                low_witness[nb] = (d, alias[w] if alias is not None else w)
+                raised.append((nb, -d))
+        hdt.set_vertex_keys(raised)
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:

@@ -47,12 +47,10 @@ class FlatActiveNeighborStructure:
         "tracker",
         "_indptr",
         "_nbr",
-        "_owner",
         "_deg",
         "_mirror",
         "active",
         "_leaf",
-        "_n_active",
     )
 
     def __init__(self, g: Graph, tracker: Tracker | None = None) -> None:
@@ -115,12 +113,9 @@ class FlatActiveNeighborStructure:
         self._nbr = nbr
         deg = np.diff(indptr)
         self._deg = deg
-        #: owner[s] = vertex whose adjacency list contains slot s
-        self._owner = np.repeat(np.arange(n, dtype=np.int64), deg)
         self._mirror = mirror
         self.active = np.ones(n, dtype=bool)
         self._leaf = np.ones(total, dtype=bool)
-        self._n_active = deg.copy()
         # per-vertex tree builds + the position index: O(n + m) work
         self.tracker.charge(n + total, log2_ceil(max(2, n + total)) + 1)
 
@@ -128,16 +123,13 @@ class FlatActiveNeighborStructure:
     def is_active(self, v: int) -> bool:
         return bool(self.active[v])
 
-    def n_active_neighbors(self, v: int) -> int:
-        return int(self._n_active[v])
-
     # ------------------------------------------------------------------
     def make_inactive(self, vertices: Sequence[int]) -> None:
         """Deactivate ``vertices``; clears their mirror slots everywhere.
 
         O((k + Σdeg) log n) work, O(log n) span — one gather over the
-        deactivated vertices' slot ranges plus a scatter-subtract into
-        the per-neighbor active counts.
+        deactivated vertices' slot ranges and one scatter into the mirror
+        slots.
         """
         vs = _as_ids(vertices)
         if vs.size == 0:
@@ -154,11 +146,7 @@ class FlatActiveNeighborStructure:
             # slots = concatenation of each v's slot range, vectorized
             shift = np.repeat(self._indptr[vs] - ends + counts, counts)
             ms = self._mirror[np.arange(total, dtype=np.int64) + shift]
-            # each mirror slot is cleared at most once per lifetime
-            # (double deactivation raises above), so a plain subtract
-            # keeps the counts exact
             self._leaf[ms] = False
-            np.subtract.at(self._n_active, self._owner[ms], 1)
         self.tracker.charge(
             (int(vs.size) + total) * log2_ceil(max(2, self.n)),
             log2_ceil(max(2, self.n)) + 1,

@@ -37,11 +37,6 @@ class NaiveActiveNeighborStructure:
     def is_active(self, v: int) -> bool:
         return self.active[v]
 
-    def n_active_neighbors(self, v: int) -> int:
-        t = self.tracker
-        t.charge(len(self.g.adj[v]), log2_ceil(max(2, len(self.g.adj[v]))) + 1)
-        return sum(1 for w in self.g.adj[v] if self.active[w])
-
     def make_inactive(self, vertices: Sequence[int]) -> None:
         t = self.tracker
 

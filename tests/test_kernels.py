@@ -386,6 +386,23 @@ class TestRngBridge:
         b = maximal_matching(Tracker(), g.n, g.edges, r2, backend="numpy")
         assert a == b and r1.getstate() == r2.getstate()
 
+    @given(st.integers(2, 80), st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_lockstep_matching_with_tied_priorities(self, n, seed):
+        # priorities on a coarse grid: edges tie at a vertex's minimum
+        # priority and eid must decide, as on the tracked backend
+        class Coarse(random.Random):
+            def random(self):
+                return int(super().random() * 4) / 4
+
+        rng = random.Random(seed)
+        m = rng.randrange(0, min(3 * n, n * (n - 1) // 2) + 1)
+        g = G.gnm_random_graph(n, m, seed=seed)
+        r1, r2 = Coarse(seed), Coarse(seed)
+        a = maximal_matching(Tracker(), g.n, g.edges, r1, backend="tracked")
+        b = maximal_matching(Tracker(), g.n, g.edges, r2, backend="numpy")
+        assert a == b and r1.getstate() == r2.getstate()
+
     @given(st.integers(0, 250), st.integers(1, 8), st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
     def test_lockstep_anderson_miller_ranks_and_stream(self, n, k, seed):

@@ -130,7 +130,6 @@ class TestActiveNeighborStructure:
         ans = ActiveNeighborStructure(g)
         [nbrs] = ans.query([0], 10)
         assert sorted(nbrs) == [1, 2, 3]
-        assert ans.n_active_neighbors(0) == 3
 
     def test_make_inactive_removes_from_all_neighbors(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
