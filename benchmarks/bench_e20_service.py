@@ -29,6 +29,13 @@ two components — an affected region past ``rebuild_fraction``, forcing
 the full-rebuild path with its global invalidation.  Both paths show up
 in the published maintenance counts.
 
+A second table measures what one cache miss costs as the resident graph
+grows: twelve, 120 and 1,200 components of 60-vertex gnm (n = 720 /
+7,200 / 72,000); a one-edge update in component 0, then one miss there.
+A miss runs ``parallel_dfs`` on the root's component graph, so its
+time stays flat in n; the whole-graph recompute beside it (snapshot
+plus ``parallel_dfs``, the lockstep oracle) grows with n.
+
 Environment knobs: ``REPRO_E20_OPS`` total requests (default 1000; CI's
 mini run uses 400), ``REPRO_E20_N`` vertices per component (default 120,
 three components), ``REPRO_E20_SEED`` the stream seed.
@@ -39,6 +46,7 @@ from __future__ import annotations
 import asyncio
 import os
 import random
+import statistics
 import time
 
 from conftest import publish
@@ -55,6 +63,7 @@ from repro.service import (
     tree_bytes,
     tree_payload,
 )
+from repro.service.store import ResidentGraph
 
 OPS = int(os.environ.get("REPRO_E20_OPS", "1000"))
 N_EACH = int(os.environ.get("REPRO_E20_N", "120"))
@@ -286,3 +295,83 @@ def test_e20_service_lockstep_smoke():
 
     checked = asyncio.run(main())
     assert checked >= 40
+
+
+#: the miss-scaling table: resident graphs of this many components of
+#: SCALE_N_EACH-vertex gnm
+SCALE_PARTS = (12, 120, 1200)
+SCALE_N_EACH = 60
+#: timed update + miss pairs per size (the table reports medians)
+SCALE_REPS = 5
+#: a miss after a one-edge update at n = 72,000 must stay under this
+#: (it cost ~370 ms when every miss ran on the whole graph)
+MISS_TARGET_MS = 20.0
+
+
+def miss_after_update(parts: int) -> dict:
+    """Median times (ms) of a one-edge update in component 0, the cache
+    miss after it, and the whole-graph recompute of the same tree."""
+    edges = []
+    for k in range(parts):
+        g = make_family("gnm", SCALE_N_EACH, seed=k)
+        base = k * SCALE_N_EACH
+        edges.extend((u + base, v + base) for u, v in g.edges)
+    n = parts * SCALE_N_EACH
+    rg = ResidentGraph("g", n, edges, kernel_backend="numpy")
+    pair = (0, SCALE_N_EACH // 2)
+    apply_ms, miss_ms, whole_ms = [], [], []
+    for seed in range(SCALE_REPS):
+        t0 = time.perf_counter()
+        if rg.dyn.has_edge(*pair):
+            report = rg.dyn.apply_batch(delete=[pair])
+        else:
+            report = rg.dyn.apply_batch(insert=[pair])
+        t1 = time.perf_counter()
+        assert report.mode == "incremental", report
+        # the update dropped component 0's trees: lookup misses
+        assert rg.lookup(0, seed) is None
+        tree = rg.compute(0, seed)
+        rg.install(0, seed, tree)
+        t2 = time.perf_counter()
+        oracle = rg.recompute(0, seed)
+        t3 = time.perf_counter()
+        assert tree_bytes(tree) == tree_bytes(oracle), (parts, seed)
+        apply_ms.append((t1 - t0) * 1e3)
+        miss_ms.append((t2 - t1) * 1e3)
+        whole_ms.append((t3 - t2) * 1e3)
+    return {
+        "n": n,
+        "m": rg.dyn.m,
+        "components": parts,
+        "apply_ms": round(statistics.median(apply_ms), 3),
+        "miss_ms": round(statistics.median(miss_ms), 3),
+        "whole_graph_ms": round(statistics.median(whole_ms), 3),
+    }
+
+
+def render_scaling(rows: list[dict]) -> str:
+    table = format_table(
+        ["n", "m", "components", "apply ms", "miss ms", "whole-graph ms"],
+        [
+            (r["n"], r["m"], r["components"], r["apply_ms"], r["miss_ms"],
+             r["whole_graph_ms"])
+            for r in rows
+        ],
+    )
+    return "\n".join([
+        f"miss after a one-edge update vs resident n ({SCALE_N_EACH}-vertex "
+        f"gnm components, numpy, median of {SCALE_REPS}; whole-graph = "
+        "snapshot + parallel_dfs of the same tree):",
+        table,
+    ])
+
+
+def test_e20_miss_scaling():
+    rows = [miss_after_update(parts) for parts in SCALE_PARTS]
+    big = rows[-1]
+    assert big["n"] == 72_000
+    assert big["miss_ms"] <= MISS_TARGET_MS, rows
+    publish(
+        "e20_miss_scaling", render_scaling(rows),
+        data={"rows": rows}, ran={"kernel_backend": "numpy", "structure": "flat"},
+    )

@@ -9,13 +9,12 @@ are also orders of magnitude slower than the hardware allows.
 
 This package is the *execution engine*: each round-structured hot path —
 Wyllie pointer jumping (Lemma 2.4), Luby local-minimum matching rounds
-(Lemma 2.5), connectivity contraction, induced subgraphs, Euler-tour
-successor construction — re-expressed as whole-array numpy kernels. A
-kernel runs the same synchronous round structure (a round becomes one
-batch of gathers/scatters over int64 arrays) and charges the Tracker
-*aggregate* work and span per round, so a run under the numpy backend
-still produces meaningful asymptotic counts while its wall clock is
-dominated by C loops.
+(Lemma 2.5), connectivity contraction, induced subgraphs — re-expressed
+as whole-array numpy kernels. A kernel runs the same synchronous round
+structure (a round becomes one batch of gathers/scatters over int64
+arrays) and charges the Tracker *aggregate* work and span per round, so
+a run under the numpy backend still produces meaningful asymptotic
+counts while its wall clock is dominated by C loops.
 
 Backend selection is handled by :mod:`repro.kernels.dispatch`; the
 instrumented entry points (``graph.connectivity``, ``listrank.ranking``,

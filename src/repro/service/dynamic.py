@@ -48,17 +48,22 @@ Canonical graph state
 ---------------------
 
 The logical state of a resident graph is its edge *set*.  Everything
-downstream — the recompute snapshot, the fresh-recompute oracle in the
-tests, the HDT rebuild — materializes it as ``Graph(n, sorted(edges))``,
-so the order in which updates arrived can never leak into a response.
+downstream — the whole-graph snapshot of the fresh-recompute oracle,
+the HDT rebuild — materializes it as ``Graph(n, sorted(edges))``, and
+the miss path's :meth:`DynamicGraph.component_graph` is the induced
+subgraph of that graph on one component, so the order in which updates
+arrived can never leak into a response.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..graph.graph import Graph
 from ..kernels.dispatch import resolve_backend
+from ..kernels.subgraph import assemble_graph
 from ..obs import runtime as obs
 from ..pram.tracker import Tracker
 from ..structures.flat_absorb import FlatForest
@@ -127,6 +132,10 @@ class DynamicGraph:
         self._edge_eid: dict[tuple[int, int], int] = {}
         self._snapshot: Graph | None = None
         self._snapshot_mutations = -1
+        #: component rep -> (component graph, vertices) at mutation
+        #: counter ``_components_mutations``
+        self._components: dict[int, tuple[Graph, list[int]]] = {}
+        self._components_mutations = 0
         self._rebuild_hdt(init)
         # instruments bound once (docs/observability.md convention)
         self._h_affected = obs.metrics().histogram("service.affected_region")
@@ -157,12 +166,54 @@ class DynamicGraph:
     def component_size(self, v: int) -> int:
         return self._hdt.component_size(v)
 
+    def component_graph(self, v: int) -> tuple[Graph, list[int]]:
+        """v's component as a graph on local ids ``0..k-1``, plus the
+        vertex list (ascending; local id i is global ``vertices[i]``).
+
+        Equal in ``edges``, ``adj`` and ``adj_eids`` to
+        ``core.dfs._induced(self.snapshot(), vertices)``: the edges are
+        the component's live edges as relabeled canonical pairs in
+        sorted order, and each vertex lists its neighbors in edge-id
+        order.  Costs O(component) — vertices from the forest's member
+        array, edges from their incidence lists — not O(n + m).  Cached
+        per mutation counter and component, so the misses of one
+        component between two updates share one build and its CSR.
+        """
+        if self._components_mutations != self.mutations:
+            self._components = {}
+            self._components_mutations = self.mutations
+        hdt = self._hdt
+        rep = hdt.component_rep(v)
+        cached = self._components.get(rep)
+        if cached is not None:
+            return cached
+        vertices = hdt.component_vertices(v)
+        endpoints = hdt.endpoints
+        # each live edge once, from its canonical min endpoint; the
+        # other endpoint is connected to it, so it is in the component
+        pairs = sorted(
+            endpoints[e]
+            for x in vertices
+            for e in hdt.live_incident(x)
+            if endpoints[e][0] == x
+        )
+        local = {x: i for i, x in enumerate(vertices)}
+        m = len(pairs)
+        su = np.fromiter((local[a] for a, _ in pairs), np.int64, m)
+        sv = np.fromiter((local[b] for _, b in pairs), np.int64, m)
+        cached = self._components[rep] = (
+            assemble_graph(len(vertices), su, sv), vertices
+        )
+        return cached
+
     def snapshot(self) -> Graph:
         """The canonical :class:`Graph` of the current state (cached).
 
-        This is the graph a fresh ``parallel_dfs`` — and therefore the
-        byte-identity oracle — runs on.  Cached per mutation counter so
-        a batch of queries between two updates shares one CSR build.
+        This is the graph a fresh whole-graph ``parallel_dfs`` — the
+        byte-identity oracle of the ``--verify-every`` audit and the
+        tests — runs on; a cache miss runs on :meth:`component_graph`
+        instead.  Cached per mutation counter, so audits between two
+        updates share one build.
         """
         if self._snapshot is None or self._snapshot_mutations != self.mutations:
             self._snapshot = Graph(self.n, self.edge_pairs())

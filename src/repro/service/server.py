@@ -562,12 +562,16 @@ class DFSService:
         self, name: str, root: int, seed: int, verify: bool = False
     ) -> dict:
         """Executor-thread body of one compute: a correlated span around
-        the pure :meth:`~repro.service.store.ResidentGraph.compute`."""
+        the pure :meth:`~repro.service.store.ResidentGraph.compute`, or,
+        for a self-audit, around the whole-graph
+        :meth:`~repro.service.store.ResidentGraph.recompute` — an
+        oracle independent of the miss path it checks."""
         attrs: dict = {"graph": name, "root": root, "seed": seed}
         if verify:
             attrs["verify"] = True
         with obs.span("service.compute", **attrs):
-            return self.store.get(name).compute(root, seed)
+            rg = self.store.get(name)
+            return (rg.recompute if verify else rg.compute)(root, seed)
 
     async def _maybe_verify(
         self, pending: _Pending, tree: dict, was_cached: bool

@@ -10,6 +10,17 @@ which the cached payload is still byte-identical to a fresh
 ``parallel_dfs`` on the current graph state.  Stale entries are
 overwritten on the next miss; the LRU bound keeps memory O(max_cache).
 
+A miss costs the root's component, not the resident graph: it builds
+the component graph straight from the resident forest
+(:meth:`~repro.service.dynamic.DynamicGraph.component_graph`, local ids
+in ascending global order) and runs ``parallel_dfs`` on it.  The tree
+is the whole-graph tree: ``parallel_dfs`` draws no randomness before
+its first ``solve``, and that call induces the root's component in
+ascending vertex order — exactly this graph — so every later step sees
+the same input, and the monotone relabeling maps the result back.
+The whole-graph snapshot serves only the lockstep oracle
+(:meth:`ResidentGraph.recompute`).
+
 Computation is split so the async batcher can offload it: the
 event-loop side calls :meth:`ResidentGraph.lookup` (O(1)) and
 :meth:`ResidentGraph.install`; the pure :meth:`ResidentGraph.compute`
@@ -20,6 +31,7 @@ barriers in the batch loop, so a compute never races a mutation.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import OrderedDict
 
 from ..core.dfs import STRUCTURE, parallel_dfs
@@ -93,7 +105,30 @@ class ResidentGraph:
         return None
 
     def compute(self, root: int, seed: int) -> dict:
-        """Fresh canonical tree — pure, safe on an executor thread."""
+        """Fresh canonical tree — pure, safe on an executor thread.
+
+        Runs on the root's component graph, not the whole graph: the
+        tree, mapped back to global ids, is the whole-graph tree byte
+        for byte (module docstring)."""
+        self._check_root(root)
+        sub, vertices = self.dyn.component_graph(root)
+        res = parallel_dfs(
+            sub,
+            bisect_left(vertices, root),
+            rng=random.Random(seed),
+            kernel_backend=self.kernel_backend,
+        )
+        parent = {
+            vertices[v]: None if p is None else vertices[p]
+            for v, p in res.parent.items()
+        }
+        depth = {vertices[v]: d for v, d in res.depth.items()}
+        return protocol.tree_payload(root, parent, depth)
+
+    def recompute(self, root: int, seed: int) -> dict:
+        """The lockstep oracle: a fresh ``parallel_dfs`` of the whole
+        current graph, sharing nothing with :meth:`compute` but the
+        algorithm."""
         self._check_root(root)
         res = parallel_dfs(
             self.dyn.snapshot(),

@@ -26,7 +26,7 @@ from repro.graph.connectivity import (
     largest_component_size,
     spanning_forest,
 )
-from repro.kernels import euler, listrank
+from repro.kernels import listrank
 from repro.kernels.dispatch import resolve_backend
 from repro.kernels import rng as rng_mod
 from repro.kernels.rng import LockstepUniform, randomstate_view, sync_python_rng
@@ -203,81 +203,6 @@ class TestMatchingParity:
             Tracker(), g.n, g.edges, random.Random(3), backend="numpy"
         )
         assert a == b
-
-
-# ----------------------------------------------------------------------
-# Euler tour construction
-# ----------------------------------------------------------------------
-
-def spanning_tree_edges(g, rng):
-    """A random spanning forest of g (sequential, test support)."""
-    parent = {}
-    edges = []
-    for s in range(g.n):
-        if s in parent:
-            continue
-        parent[s] = None
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            nbrs = list(g.adj[u])
-            rng.shuffle(nbrs)
-            for w in nbrs:
-                if w not in parent:
-                    parent[w] = u
-                    edges.append((u, w))
-                    stack.append(w)
-    return edges
-
-
-class TestEulerTour:
-    def check_successors(self, n, edges):
-        eu = np.array([e[0] for e in edges], dtype=np.int64)
-        ev = np.array([e[1] for e in edges], dtype=np.int64)
-        succ = euler.euler_tour_successors(n, eu, ev)
-        m = len(edges)
-        assert succ.shape == (2 * m,)
-        # a permutation…
-        assert sorted(succ.tolist()) == list(range(2 * m))
-        # …whose arcs chain head-to-tail
-        tail = np.concatenate([eu, ev])
-        head = np.concatenate([ev, eu])
-        assert (head == tail[succ]).all()
-        return succ
-
-    @given(st.integers(2, 60), st.integers(0, 2**31))
-    @settings(max_examples=40, deadline=None)
-    def test_random_trees(self, n, seed):
-        rng = random.Random(seed)
-        g = G.gnm_random_connected_graph(
-            n, min(2 * n, n * (n - 1) // 2), seed=seed
-        )
-        edges = spanning_tree_edges(g, rng)
-        succ = self.check_successors(g.n, edges)
-        # one cycle spanning all 2m arcs (a single tree)
-        a, seen = 0, set()
-        while a not in seen:
-            seen.add(a)
-            a = int(succ[a])
-        assert len(seen) == 2 * len(edges)
-
-    def test_forest_has_one_cycle_per_tree(self):
-        edges = [(0, 1), (1, 2), (3, 4)]  # two trees + isolated vertex 5
-        succ = self.check_successors(6, edges)
-        # arcs 0,1 (and twins 3,4) are tree A; arc 2/5 tree B
-        cycles = 0
-        unseen = set(range(2 * len(edges)))
-        while unseen:
-            cycles += 1
-            a = next(iter(unseen))
-            while a in unseen:
-                unseen.discard(a)
-                a = int(succ[a])
-        assert cycles == 2
-
-    def test_empty_and_isolated_root(self):
-        empty = np.empty(0, dtype=np.int64)
-        assert euler.euler_tour_successors(3, empty, empty).size == 0
 
 
 # ----------------------------------------------------------------------
