@@ -43,7 +43,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ..graph.graph import Graph
 from ..kernels.dispatch import is_array_backend
-from ..kernels.listrank import unit_chain_ranks
+from ..kernels.listrank import replay_contraction
 from ..listrank.ranking import prefix_sums_on_lists
 from ..obs import runtime as obs
 from ..pram.tracker import Tracker, log2_ceil
@@ -179,7 +179,7 @@ def absorb_separator(
             # tracked engine runs the instrumented contraction.
             t.charge(len(chain), 1)
             if array_engine:
-                unit_chain_ranks(t, chain, rng)
+                replay_contraction(t, chain, (0, len(chain)), rng)
             else:
                 prev_of: dict[int, int | None] = dict(zip(chain, [None] + chain))
                 prefix_sums_on_lists(

@@ -32,6 +32,8 @@ import numpy as np
 
 from ..graph.graph import Graph
 from ..graph.connectivity import connected_components, component_sizes
+from ..kernels.dispatch import is_array_backend
+from ..kernels.listrank import replay_contraction
 from ..listrank.ranking import prefix_sums_on_lists
 from ..obs import runtime as obs
 from ..pram.tracker import Tracker, log2_ceil
@@ -161,19 +163,30 @@ def _assemble_merged(
     s_off = short_paths.off
     s_len = np.diff(s_off)
     # rank the joined shorts simultaneously (Lemma 2.4, as Section 4.1.2
-    # prescribes) to find each contact vertex's position
+    # prescribes) to find each contact vertex's position.  The lists are
+    # held in order with unit values, so a vertex's rank is its position
+    # in the gathered lists; the numpy engine replays only the
+    # contraction's draws and charge, the tracked engine runs it
     joined = np.array(sorted(res.joined_shorts), dtype=np.int64)
     one = np.ones(joined.size, dtype=np.int64)
     ranked = FlatPaths.gather(short_paths.flat, s_off[joined], s_len[joined], one)
-    vertices = ranked.flat.tolist()
-    # a head's predecessor is -1, outside the lists: absent
-    prev = np.empty(len(vertices), dtype=np.int64)
-    prev[1:] = ranked.flat[:-1]
-    prev[ranked.off[:-1]] = -1
-    t.charge(len(vertices), log2_ceil(max(2, len(vertices) + 2)) + 1)
-    ranks = prefix_sums_on_lists(
-        t, vertices, dict(zip(vertices, prev.tolist())), lambda v: 1,
-        rng=rng, backend=backend,
+    n_ranked = int(ranked.flat.size)
+    t.charge(n_ranked, log2_ceil(max(2, n_ranked + 2)) + 1)
+    if is_array_backend(backend):
+        replay_contraction(t, ranked.flat, ranked.off, rng)
+    else:
+        vertices = ranked.flat.tolist()
+        # a head's predecessor is -1, outside the lists: absent
+        prev = np.empty(n_ranked, dtype=np.int64)
+        prev[1:] = ranked.flat[:-1]
+        prev[ranked.off[:-1]] = -1
+        prefix_sums_on_lists(
+            t, vertices, dict(zip(vertices, prev.tolist())), lambda v: 1,
+            rng=rng, backend=backend,
+        )
+    at = np.empty(g.n, dtype=np.int64)
+    at[ranked.flat] = np.arange(n_ranked) - np.repeat(
+        ranked.off[:-1], np.diff(ranked.off)
     )
 
     n_long = len(res.orig)
@@ -185,9 +198,7 @@ def _assemble_merged(
     pool = np.concatenate((res.orig.flat, res.ext.flat, short_paths.flat))
     won = np.flatnonzero(res.status == _SUCCEEDED)
     si = res.joined_si[won]
-    pos = np.fromiter(
-        map(ranks.__getitem__, res.joined_y[won].tolist()), np.int64, won.size
-    ) - 1
+    pos = at[res.joined_y[won]]
     after = s_len[si] - pos - 1
     outward = np.where(pos >= after, -1, 1)
     y_at = base_s + s_off[si] + pos

@@ -1,10 +1,13 @@
-"""Vectorized list ranking (Lemma 2.4) — array engines for both methods.
+"""Vectorized list ranking (Lemma 2.4) for the numpy engine.
 
 The tracked implementations in :mod:`repro.listrank.ranking` walk dicts
 with per-element closures; here the same synchronous rounds become a
 handful of gathers and blends over ``int64`` arrays.
 
-Two engines:
+Two engines answer a general call, through
+:func:`prefix_sums_on_lists_np` (which
+:func:`repro.listrank.ranking.prefix_sums_on_lists` calls with
+``backend="numpy"``):
 
 * :func:`wyllie_ranks` — Wyllie pointer jumping::
 
@@ -21,13 +24,21 @@ Two engines:
   decides the splice set (node heads / predecessor tails — provably
   non-adjacent, so the pointer updates are race-free whole-array
   scatters), and the reverse replay re-ranks each round in one gather.
-  Crucially it draws its per-round salt with the *same*
-  ``rng.getrandbits(62)`` calls, over the same number of rounds, as the
-  tracked implementation — so a pipeline that threads one shared
-  ``random.Random`` through ranking *and* other randomized subroutines
-  stays in lockstep across backends (the matching that runs after a
-  ranking sees the identical stream).  This is what
-  :func:`prefix_sums_on_lists_np` runs when the caller passed ``rng``.
+  It draws its per-round salt with the *same* ``rng.getrandbits(62)``
+  calls, over the same number of rounds, as the tracked implementation,
+  so a pipeline that threads one shared ``random.Random`` through
+  ranking *and* other randomized subroutines stays in lockstep across
+  engines.  This is what :func:`prefix_sums_on_lists_np` runs when the
+  caller passed ``rng``.
+
+The algorithm's own callers hold their lists in order with every value
+1 — Theorem 3.2's absorbed chain (``core/absorption.absorb_separator``)
+and Section 4.1.2's joined short paths (``core/reduction._assemble_merged``)
+— so ranks are positions they read off their own arrays.  On the numpy
+engine they call :func:`replay_contraction`, which only replays the
+contraction's draws and charge; the tracked engine runs the instrumented
+contraction instead.  :func:`_charge_contraction` holds the charge rule
+both array paths make.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ __all__ = [
     "wyllie_ranks",
     "anderson_miller_ranks",
     "prefix_sums_on_lists_np",
-    "unit_chain_ranks",
+    "replay_contraction",
 ]
 
 
@@ -89,6 +100,30 @@ def _coin_bits(ids: np.ndarray, salt: int) -> np.ndarray:
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return ((x ^ (x >> np.uint64(31))) & np.uint64(1)).astype(bool)
+
+
+#: below this many nodes a contraction is charged (3k, 3(⌈log₂ k⌉ + 1))
+#: and :func:`replay_contraction` walks Python lists instead of arrays
+_SMALL = 96
+
+
+def _charge_contraction(
+    t: Tracker | None, k: int, live_total: int, spliced_rounds: int
+) -> None:
+    """Charge one Anderson–Miller contraction over ``k`` nodes.
+
+    ``live_total`` sums the spliceable (non-head) nodes over the rounds
+    and ``spliced_rounds`` counts the rounds that spliced any; below
+    :data:`_SMALL` nodes neither is read.
+    """
+    if t is None:
+        return
+    logk = log2_ceil(max(2, k)) + 1
+    if k < _SMALL:
+        t.charge(3 * k, 3 * logk)
+    else:
+        # expected-linear contraction + replay, O(log) span per round
+        t.charge(2 * live_total + 3 * k, (spliced_rounds + 3) * logk)
 
 
 def anderson_miller_ranks(
@@ -151,71 +186,7 @@ def anderson_miller_ranks(
     rank[hidx] = values[hidx]
     for sv, pv, vv in reversed(rounds):
         rank[sv] = rank[pv] + vv
-    if t is not None:
-        # aggregate: expected-linear contraction + replay, O(log) span/round
-        logk = log2_ceil(max(2, k)) + 1
-        t.charge(2 * total + 3 * k, (len(rounds) + 3) * logk)
-    return rank
-
-
-#: below this size the array setup costs more than it saves; run the
-#: tracked algorithm shape directly (uninstrumented) instead
-_SMALL = 96
-
-
-def _am_small(
-    vertices: Sequence[int],
-    prev_of: Mapping[int, int | None],
-    value_of: Callable[[int], int],
-    rng: random.Random,
-) -> dict[int, int]:
-    """Uninstrumented mirror of the tracked Anderson–Miller (small inputs).
-
-    Same splice logic and the same one-salt-per-round draws, so small
-    calls stay in rng lockstep with the tracked backend too.
-    """
-    vset = set(vertices)
-    prv: dict[int, int | None] = {}
-    nxt: dict[int, int | None] = {v: None for v in vertices}
-    val: dict[int, int] = {}
-    for v in vertices:
-        p = prev_of.get(v)
-        prv[v] = p if (p is not None and p in vset) else None
-        val[v] = value_of(v)
-    for v in vertices:
-        p = prv[v]
-        if p is not None:
-            nxt[p] = v
-    heads = [v for v in vertices if prv[v] is None]
-    live = [v for v in vertices if prv[v] is not None]
-    rounds: list[list[tuple[int, int, int]]] = []
-    guard = 0
-    while live:
-        guard += 1
-        if guard > 4 * (len(vertices).bit_length() + 2) ** 2 + 64:
-            raise RuntimeError("anderson-miller failed to converge (bug)")
-        salt = rng.getrandbits(62)
-        spliced: list[tuple[int, int, int]] = []
-        new_live: list[int] = []
-        for v in live:
-            p = prv[v]
-            if _coin(v, salt) and not _coin(p, salt):
-                spliced.append((v, p, val[v]))
-            else:
-                new_live.append(v)
-        for v, p, _vv in spliced:
-            w = nxt[v]
-            nxt[p] = w
-            if w is not None:
-                prv[w] = p
-                val[w] += val[v]
-        if spliced:
-            rounds.append(spliced)
-        live = new_live
-    rank: dict[int, int] = {v: value_of(v) for v in heads}
-    for spliced in reversed(rounds):
-        for v, p, vv in spliced:
-            rank[v] = rank[p] + vv
+    _charge_contraction(t, k, total, len(rounds))
     return rank
 
 
@@ -244,11 +215,6 @@ def prefix_sums_on_lists_np(
     vs = list(vertices)
     if not vs:
         return {}
-    if rng is not None and len(vs) < _SMALL:
-        if t is not None:
-            k = len(vs)
-            t.charge(3 * k, 3 * (log2_ceil(max(2, k)) + 1))
-        return _am_small(vs, prev_of, value_of, rng)
     k = len(vs)
     ids = np.fromiter(vs, dtype=np.int64, count=k)
     values = np.fromiter(map(value_of, vs), dtype=np.int64, count=k)
@@ -286,70 +252,93 @@ def prefix_sums_on_lists_np(
     return dict(zip(vs, ranks.tolist()))
 
 
-def unit_chain_ranks(
-    t: Tracker | None, chain: Sequence[int], rng: random.Random
-) -> range:
-    """Lemma 2.4 on one list whose order the caller already holds, every
-    value 1: the ranks are ``1, ..., k`` in ``chain`` order.
+def replay_contraction(
+    t: Tracker | None,
+    ids: Sequence[int] | np.ndarray,
+    off: Sequence[int] | np.ndarray,
+    rng: random.Random,
+) -> None:
+    """Lemma 2.4 on lists the caller already holds in order, every value 1.
 
-    Only the Anderson–Miller contraction's rounds are replayed, so that
-    the call draws exactly the salts, and charges exactly the
-    (work, span), that :func:`prefix_sums_on_lists_np` charges for the
-    same list with ``prev_of`` linking ``chain`` head first. A round's
-    splice set depends only on the salt and the order of the list still
-    live, and splicing removes list elements without reordering the
-    rest, so the replay keeps just that order: no values, no successor
-    pointers, no reverse pass.
+    List ``j`` is ``ids[off[j]:off[j + 1]]``, head first, so its i-th
+    node ranks ``i + 1`` and the caller reads positions off its own
+    arrays.  What this call reproduces is the rest of the
+    Anderson–Miller contraction that :func:`prefix_sums_on_lists_np`
+    runs on the same lists: the same ``rng.getrandbits(62)`` per round
+    and the same (work, span) charge.  A round splices each non-head
+    node whose coin is heads while its predecessor's is tails; that set
+    depends only on the salt and on the order of the nodes still live,
+    and splicing removes nodes without reordering the rest, so keeping
+    each list's live order replays the same rounds.  No values, no
+    successor pointers and no reverse pass are needed.
     """
-    k = len(chain)
+    k = len(ids)
     if k == 0:
-        return range(1, 1)
+        return
     guard_max = 4 * (k.bit_length() + 2) ** 2 + 64
+    guard = 0
     if k < _SMALL:
-        if t is not None:
-            t.charge(3 * k, 3 * (log2_ceil(max(2, k)) + 1))
-        live = list(chain)
-        guard = 0
-        while len(live) > 1:  # repro-lint: disable=R001 (charged above)
+        flat = ids.tolist() if isinstance(ids, np.ndarray) else ids
+        if len(off) == 2:
+            live = [flat] if k > 1 else []
+        else:
+            bounds = off.tolist() if isinstance(off, np.ndarray) else off
+            live = [
+                flat[a:b] for a, b in zip(bounds, bounds[1:]) if b - a > 1
+            ]
+        while live:  # repro-lint: disable=R001 (charged after the loop)
             guard += 1
             if guard > guard_max:
                 raise RuntimeError("anderson-miller failed to converge (bug)")
             salt = rng.getrandbits(62)
-            # splice a non-head node whose coin is heads while its
-            # predecessor's is tails (the predecessor's coin only when
-            # needed, as the dict mirror evaluates them)
-            kept = [live[0]]
-            before = None
-            for j in range(1, len(live)):  # repro-lint: disable=R001
-                x = live[j]
-                c = _coin(x, salt)
-                if c:
-                    if before is None:
-                        before = _coin(live[j - 1], salt)
-                    if not before:
-                        before = c
-                        continue
-                kept.append(x)
-                before = c
-            live = kept
-        return range(1, k + 1)
-    live_ids = np.asarray(chain, dtype=np.int64)
+            still = []
+            for lst in live:  # repro-lint: disable=R001
+                # a head's coin is read only when its successor's is heads
+                kept = [lst[0]]
+                before = None
+                for j in range(1, len(lst)):  # repro-lint: disable=R001
+                    x = lst[j]
+                    c = _coin(x, salt)
+                    if c:
+                        if before is None:
+                            before = _coin(lst[0], salt)
+                        if not before:
+                            before = c
+                            continue
+                    kept.append(x)
+                    before = c
+                if len(kept) > 1:
+                    still.append(kept)
+            live = still
+        _charge_contraction(t, k, 0, 0)
+        return
+    live_ids = np.asarray(ids, dtype=np.int64)
+    starts = np.asarray(off, dtype=np.int64)
+    # heads after the first (index 0 is always a head): none for one list
+    later_head: np.ndarray | None = None
+    if starts.size > 2:
+        later_head = np.zeros(k, dtype=bool)
+        later_head[starts[1:-1][starts[1:-1] < k]] = True
+    n_heads = int(np.count_nonzero(np.diff(starts)))
     total = 0
     spliced_rounds = 0
-    guard = 0
-    while live_ids.size > 1:
+    while live_ids.size > n_heads:
         guard += 1
         if guard > guard_max:
             raise RuntimeError("anderson-miller failed to converge (bug)")
         salt = rng.getrandbits(62)
-        total += int(live_ids.size) - 1
+        total += int(live_ids.size) - n_heads
         c = _coin_bits(live_ids, salt)
-        spl = np.zeros(live_ids.size, dtype=bool)
-        spl[1:] = c[1:] & ~c[:-1]
+        # coin heads while the predecessor's is tails, never a head
+        spl = np.empty(live_ids.size, dtype=bool)
+        spl[0] = False
+        np.greater(c[1:], c[:-1], out=spl[1:])
+        if later_head is not None:
+            spl &= ~later_head
         if spl.any():
             spliced_rounds += 1
-            live_ids = live_ids[~spl]
-    if t is not None:
-        logk = log2_ceil(max(2, k)) + 1
-        t.charge(2 * total + 3 * k, (spliced_rounds + 3) * logk)
-    return range(1, k + 1)
+            keep = ~spl
+            live_ids = live_ids[keep]
+            if later_head is not None:
+                later_head = later_head[keep]
+    _charge_contraction(t, k, total, spliced_rounds)

@@ -1,6 +1,5 @@
-"""Doubly-linked path storage and list ranking (Lemma 2.4)."""
+"""List ranking (Lemma 2.4)."""
 
-from .dllist import PathCollection
 from .ranking import (
     anderson_miller_prefix_sums,
     prefix_sums_on_lists,
@@ -9,7 +8,6 @@ from .ranking import (
 )
 
 __all__ = [
-    "PathCollection",
     "anderson_miller_prefix_sums",
     "prefix_sums_on_lists",
     "sequential_prefix_sums",

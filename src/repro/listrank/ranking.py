@@ -7,11 +7,12 @@ Anderson–Miller [AM90]) to decide, for a path ``s = s' y s''``, whether
 ``|s'| >= |s''|`` — simultaneously over many paths with total work linear in
 their total length and span ``O(log n)``.
 
-Two implementations:
+Two implementations, both checked against the sequential oracle
+:func:`sequential_prefix_sums`:
 
 * :func:`wyllie_prefix_sums` — Wyllie's synchronous pointer jumping.
-  Deterministic, ``O(L log L)`` work, ``O(log L)`` span. Simple; used as the
-  correctness oracle and as E12's comparison point.
+  Deterministic, ``O(L log L)`` work, ``O(log L)`` span; E12's comparison
+  point for the work-efficient contraction.
 * :func:`anderson_miller_prefix_sums` — randomized independent-set list
   contraction in the style of [AM90]: repeatedly splice out an independent
   ~1/4 fraction of nodes (coin of node is heads, coin of predecessor tails),
@@ -20,7 +21,9 @@ Two implementations:
 
 Both operate on many disjoint lists at once: the caller passes the flat
 vertex set and a predecessor map (the "one kept direction" of the paper's
-copied doubly-linked list).
+copied doubly-linked list).  The algorithm's callers hold their lists in
+order, so on the numpy engine they replay only the contraction's draws
+and charge (:func:`repro.kernels.listrank.replay_contraction`).
 """
 
 from __future__ import annotations

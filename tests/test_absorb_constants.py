@@ -26,7 +26,8 @@ import pytest
 from repro.core.absorption import absorb_separator
 from repro.core.separator import build_separator
 from repro.graph.generators import gnm_random_connected_graph, make_family
-from repro.kernels.listrank import prefix_sums_on_lists_np, unit_chain_ranks
+from repro.kernels.listrank import prefix_sums_on_lists_np, replay_contraction
+from repro.listrank.ranking import anderson_miller_prefix_sums
 from repro.obs import runtime as obs
 from repro.obs.tracer import Tracer
 from repro.pram import Tracker
@@ -141,20 +142,44 @@ def test_engines_agree(name, gseed, seed):
         assert tracked[3].get(key) == flat[3].get(key), key
 
 
+def _list_sets(k: int, seed: int):
+    """Offsets splitting k nodes into one list, into many lists (some
+    empty), and into singletons then one list of the rest."""
+    r = random.Random(k * 7 + seed)
+    cuts = sorted(r.choices(range(k + 1), k=r.randint(1, 12)))
+    n_single = min(k, r.randint(1, 8))
+    return [
+        [0, k],
+        [0, *cuts, k],
+        list(range(n_single + 1)) + ([k] if n_single < k else []),
+    ]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 17, 95, 96, 97, 150, 400])
 def test_unit_chain_ranks_replays_the_contraction(k):
-    """The closed-form chain ranking draws the salts and charges the
-    (work, span) of the full contraction on the same list, on both sides
-    of the small-list cut-over."""
+    """Lists held in order with unit values rank by position; the replay
+    draws the salts and charges the (work, span) of the full contraction
+    on the same lists, on both sides of the small-size cut-over, and
+    leaves the rng where the tracked contraction leaves it."""
     for seed in range(4):
-        chain = random.Random(k * 31 + seed).sample(range(10 * k + 5), k)
-        prev_of = dict(zip(chain, [None] + chain))
-        r_full, r_replay = random.Random(seed), random.Random(seed)
-        t_full, t_replay = Tracker(), Tracker()
-        ranks = prefix_sums_on_lists_np(
-            t_full, chain, prev_of, lambda w: 1, rng=r_full
-        )
-        got = unit_chain_ranks(t_replay, chain, r_replay)
-        assert list(got) == [ranks[w] for w in chain]
-        assert t_replay.snapshot() == t_full.snapshot()
-        assert r_replay.getrandbits(62) == r_full.getrandbits(62)
+        ids = random.Random(k * 31 + seed).sample(range(10 * k + 5), k)
+        for off in _list_sets(k, seed):
+            prev_of: dict[int, int | None] = {}
+            position = {}
+            for a, b in zip(off, off[1:]):
+                for i in range(a, b):
+                    prev_of[ids[i]] = ids[i - 1] if i > a else None
+                    position[ids[i]] = i - a + 1
+            r_full, r_replay, r_tracked = (random.Random(seed) for _ in range(3))
+            t_full, t_replay = Tracker(), Tracker()
+            ranks = prefix_sums_on_lists_np(
+                t_full, ids, prev_of, lambda w: 1, rng=r_full
+            )
+            replay_contraction(t_replay, ids, off, r_replay)
+            anderson_miller_prefix_sums(
+                Tracker(), ids, prev_of, lambda w: 1, rng=r_tracked
+            )
+            assert ranks == position, off
+            assert t_replay.snapshot() == t_full.snapshot(), off
+            assert r_replay.getstate() == r_tracked.getstate(), off
+            assert r_full.getstate() == r_tracked.getstate(), off

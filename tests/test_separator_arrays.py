@@ -266,6 +266,40 @@ class TestAssembleMerged:
         assert merged.tolist() == want_merged
         assert remaining.tolist() == want_remaining
 
+    @pytest.mark.parametrize("name", [*sorted(_GRAPHS), "gnm-2000"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_engines_leave_the_rng_alike(self, name, seed, monkeypatch):
+        """Lemma 2.4 draws the same salts on both engines, and the numpy
+        engine ranks the joined shorts without the dict-based entry.  The
+        joined shorts hold 33–43 vertices on the small graphs and over
+        200 on ``gnm-2000``, so both sides of the contraction's
+        small-size cut-over (96) are covered."""
+        ranked_by_dict = reduction.prefix_sums_on_lists
+
+        def tracked_only(*a, backend=None, **k):
+            assert backend != "numpy", "numpy engine built a rank dict"
+            return ranked_by_dict(*a, backend=backend, **k)
+
+        monkeypatch.setattr(reduction, "prefix_sums_on_lists", tracked_only)
+        if name == "gnm-2000":
+            g = G.gnm_random_connected_graph(2000, 4000, seed=11)
+        else:
+            g = _GRAPHS[name]()
+        longs, shorts = _long_short(g, seed)
+        out = {}
+        for backend in ("tracked", "numpy"):
+            res = merge_paths(
+                g, Tracker(), longs, shorts, random.Random(seed), 1.0,
+                backend=backend,
+            )
+            rng = random.Random(seed + 1)
+            merged, remaining = reduction._assemble_merged(
+                g, Tracker(), res, path_merge.FlatPaths.from_lists(shorts),
+                rng, backend=backend,
+            )
+            out[backend] = (merged.tolist(), remaining.tolist(), rng.getstate())
+        assert out["numpy"] == out["tracked"]
+
 
 # ----------------------------------------------------------------------
 # loud separator stalls
