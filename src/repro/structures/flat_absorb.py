@@ -38,12 +38,14 @@ maintaining them per rotation:
   non-tree edges. A replacement search takes an isolated endpoint
   inline, finds the small side by *alternating* bidirectional BFS (cost
   O(2 |small|), matching the tracked structure's O(|small|) sweep) that
-  also collects the side's level-i tree edges, or hands sides of
-  ``_ARRAY_SIDE`` or more vertices to one masked pointer-doubling pass
-  over ``parent``/``plev``. Each search also returns two masks — the
-  levels of the tree edges leaving the side and of the side's non-tree
-  edges — so the cut jumps straight to the next level where a search or
-  a scan happens, and charges the levels in between in closed form.
+  also collects the side's level-i tree edges — one walk per cut, which
+  each lower level resumes rather than re-walking the side above it —
+  or hands sides of ``_ARRAY_SIDE`` or more vertices to one masked
+  pointer-doubling pass over ``parent``/``plev``. Each search also
+  returns two masks — the levels of the tree edges leaving the side and
+  of the side's non-tree edges — so the cut jumps straight to the next
+  level where a search or a scan happens, and charges the levels in
+  between in closed form.
   Every level charges what the two-pass BFS + collect search charged
   there (a function of the side's size and which endpoint won).
 
@@ -85,11 +87,52 @@ NO_KEY = np.int64(1) << np.int64(62)
 #: its memoryview
 _NO_KEY = int(NO_KEY)
 
-#: smallest F_i side the replacement search takes from arrays: a BFS
-#: that has popped this many vertices on each side without exhausting
-#: one hands over to one masked pointer-doubling pass over the level-0
-#: tree (and every lower level of the same cut goes there directly)
+#: smallest F_i side the replacement search takes from arrays: a cut's
+#: walk that has popped this many vertices on each side, over all the
+#: levels it visited, without exhausting one hands over to one masked
+#: pointer-doubling pass over the level-0 tree (and every lower level of
+#: the same cut goes there directly)
 _ARRAY_SIDE = 512
+
+
+class _Walk:
+    """One cut's alternating search, kept across the levels it visits.
+
+    Per endpoint: the queue of its side (popped vertices before the
+    cursor), the vertex that reached each queued one, the cursor, the OR
+    of the popped vertices' ``ntmask`` and the tree edges skipped so far
+    because their level was below the search's, as ``(level, far end,
+    near end, edge id)``."""
+
+    __slots__ = ("qu", "fu", "iu", "nmu", "sku", "qv", "fv", "iv", "nmv", "skv")
+
+    def __init__(self, u: int, v: int) -> None:
+        self.qu, self.fu, self.iu, self.nmu = [u], [-1], 0, 0
+        self.qv, self.fv, self.iv, self.nmv = [v], [-1], 0, 0
+        self.sku: list[tuple[int, int, int, int]] = []
+        self.skv: list[tuple[int, int, int, int]] = []
+
+
+def _rejoin(kept: list, i: int, queue: list[int], came: list[int],
+            arcs: list[int]) -> int:
+    """Resume a walk at level i: the kept edges of level >= i join
+    ``queue`` (their near ends into ``came``, the level-i ones into
+    ``arcs``) and leave ``kept``; returns the levels of the rest as a
+    mask (uncharged, like the walk)."""
+    lmask = j = 0
+    for item in kept:  # repro-lint: disable=R001 (charged by the caller)
+        k = item[0]
+        if k < i:
+            kept[j] = item
+            j += 1
+            lmask |= 1 << k
+        else:
+            queue.append(item[1])
+            came.append(item[2])
+            if k == i:
+                arcs.append(item[3])
+    del kept[j:]
+    return lmask
 
 
 def _charge_tour_build(t: Tracker, n: int, m: int, longest: int) -> None:
@@ -559,15 +602,20 @@ class FlatForest:
                 span += 1
                 linked = False
                 large = False
+                walk = None
                 i = lvl
                 while i >= 0:
                     # a search at level i: the small F_i side (ties to u),
                     # its exactly-level-i tree edges, and two level masks
                     # — lmask for the tree edges leaving the side (all
-                    # below i), nmask for the side's non-tree edges
-                    found = endpoint_side(i, u, v)
+                    # below i), nmask for the side's non-tree edges. Once
+                    # both endpoints had an F_i edge they have one at
+                    # every lower level: the walk goes on from there
+                    found = endpoint_side(i, u, v) if walk is None else None
                     if found is None and not large:
-                        found = side_bfs(i, u, v, _ARRAY_SIDE)
+                        if walk is None:
+                            walk = _Walk(u, v)
+                        found = side_bfs(i, walk, _ARRAY_SIDE)
                     if found is None:
                         # |S_i| >= |S_{i+1}|: every lower level is large too
                         large = True
@@ -796,54 +844,69 @@ class FlatForest:
                 return x == u, [x], [], lmask, self.ntmask[x]
         return None
 
-    def _side_bfs(self, i: int, u: int, v: int, budget: int):
-        """The small F_i side after cutting (u, v) by alternating BFS.
+    def _side_bfs(self, i: int, walk: "_Walk", budget: int):
+        """The small F_i side after cutting (u, v) by alternating BFS,
+        continuing ``walk`` from where the level above left it.
 
         u advances first: the first side to exhaust is the smaller one,
         ties going to u — the tracked structure's ``u if size(u) <=
         size(v) else v`` rule at O(2 |small|) cost. The walk runs over the
-        level-0 adjacency and follows only edges of level >= i; the levels
-        of the others (tree edges leaving the side) go into its lmask and
-        each popped vertex's ``ntmask`` into its nmask. F_i components are
-        trees, so every followed neighbor of a popped vertex except the
-        one that reached it is new (no visited set), and each side's
-        exactly-level-i tree edges are collected as they reach a vertex.
-        Returns ``(u won, side, edge ids, lmask, nmask)``, or None once
-        both sides have popped ``budget`` vertices. Uncharged: the caller
-        charges by the side's size."""
+        level-0 adjacency and follows only edges of level >= i; the
+        others (tree edges leaving the side) are kept on the walk and
+        their levels go into its lmask, and each popped vertex's
+        ``ntmask`` into its nmask. F_i components are trees, so every
+        followed neighbor of a popped vertex except the one that reached
+        it is new (no visited set), and each side's exactly-level-i tree
+        edges are collected as they reach a vertex.
+
+        A side only grows from one level to the next one down, so the
+        walk a level above left is resumed, not redone: the kept edges
+        of level >= i join it (those of level i are this level's
+        edges), and the alternation goes on from the side whose turn it
+        is, so every exhaustion check lands where a fresh walk would
+        make it and the same side wins (docs/kernels.md, "Side search
+        across levels"). nmask bits above i may be stale; the cut reads
+        only bits <= i. Returns ``(u won, side, edge ids, lmask,
+        nmask)``, or None once both sides have popped ``budget``
+        vertices over the whole cut. Uncharged: the caller charges by
+        the side's size."""
         adj, level, ntmask = self.adj, self.level, self.ntmask
         # lists with read cursors instead of deques: this is the hottest
         # loop in the structure (one call per search of a deleted edge)
-        qu: list[int] = [u]
-        fu: list[int] = [-1]
+        qu, fu, iu, nmu = walk.qu, walk.fu, walk.iu, walk.nmu
+        qv, fv, iv, nmv = walk.qv, walk.fv, walk.iv, walk.nmv
         au: list[int] = []
-        lmu = nmu = iu = 0
-        qv: list[int] = [v]
-        fv: list[int] = [-1]
         av: list[int] = []
-        lmv = nmv = iv = 0
+        sku, skv = walk.sku, walk.skv
+        lmu = _rejoin(sku, i, qu, fu, au)
+        lmv = _rejoin(skv, i, qv, fv, av)
         # dict order never reaches an output: the winner is decided by
         # size alone, its edges are only promoted and the masks are ORs
         while True:  # repro-lint: disable=R001 (charged by the caller)
-            if iu == len(qu):
-                return True, qu, au, lmu, nmu
-            if iu == budget:
-                return None
-            x = qu[iu]
-            px = fu[iu]
-            iu += 1
-            nmu |= ntmask[x]
-            for nbr, f in adj[x].items():  # repro-lint: disable=R001,R002
-                if nbr != px:
-                    k = level[f]
-                    if k < i:
-                        lmu |= 1 << k
-                    else:
-                        qu.append(nbr)
-                        fu.append(x)
-                        if k == i:
-                            au.append(f)
+            if iu == iv:
+                # u's turn (v's when the level above stopped after u's pop)
+                if iu == len(qu):
+                    walk.iu, walk.iv, walk.nmu, walk.nmv = iu, iv, nmu, nmv
+                    return True, qu, au, lmu, nmu
+                if iu == budget:
+                    return None
+                x = qu[iu]
+                px = fu[iu]
+                iu += 1
+                nmu |= ntmask[x]
+                for nbr, f in adj[x].items():  # repro-lint: disable=R001,R002
+                    if nbr != px:
+                        k = level[f]
+                        if k < i:
+                            lmu |= 1 << k
+                            sku.append((k, nbr, x, f))
+                        else:
+                            qu.append(nbr)
+                            fu.append(x)
+                            if k == i:
+                                au.append(f)
             if iv == len(qv):
+                walk.iu, walk.iv, walk.nmu, walk.nmv = iu, iv, nmu, nmv
                 return False, qv, av, lmv, nmv
             x = qv[iv]
             px = fv[iv]
@@ -854,6 +917,7 @@ class FlatForest:
                     k = level[f]
                     if k < i:
                         lmv |= 1 << k
+                        skv.append((k, nbr, x, f))
                     else:
                         qv.append(nbr)
                         fv.append(x)

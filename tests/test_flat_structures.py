@@ -356,7 +356,7 @@ class TestArraySearchParity:
         class Checked(FlatForest):
             def _side_arrays(self, i, u, v):
                 got = super()._side_arrays(i, u, v)
-                want = self._side_bfs(i, u, v, self.n + 1)
+                want = self._side_bfs(i, flat_absorb._Walk(u, v), self.n + 1)
                 assert got[0] == want[0], "different winner"
                 assert sorted(got[1]) == sorted(want[1]), "different side"
                 assert sorted(got[2]) == sorted(want[2]), "different arcs"
@@ -397,9 +397,9 @@ class NoSkipForest(FlatForest):
         self.cur = (u, v, found)
         return found
 
-    def _side_bfs(self, i, u, v, budget):
-        found = super()._side_bfs(i, u, v, budget)
-        self.cur = (u, v, found)
+    def _side_bfs(self, i, walk, budget):
+        found = super()._side_bfs(i, walk, budget)
+        self.cur = (walk.qu[0], walk.qv[0], found)
         return found
 
     def _side_arrays(self, i, u, v):
@@ -414,7 +414,9 @@ class NoSkipForest(FlatForest):
         for k in range(i - 1, j, -1):
             fresh = FlatForest._endpoint_side(self, k, u, v)
             if fresh is None:
-                fresh = FlatForest._side_bfs(self, k, u, v, self.n + 1)
+                fresh = FlatForest._side_bfs(
+                    self, k, flat_absorb._Walk(u, v), self.n + 1
+                )
             assert fresh[0] == won_u, "a skipped level changes the winner"
             assert sorted(fresh[1]) == sorted(side), "a skipped level grows"
             assert fresh[2] == [], "a skipped level has tree edges to promote"
@@ -478,6 +480,74 @@ class TestLevelSkip:
         assert flat._c_promote.value == ref._c_promote.value > 0
         assert flat._h_scan.summary() == ref._h_scan.summary()
         assert flat._h_scan.count > flat._h_scan.total
+
+
+class ResumeChecked(FlatForest):
+    """Runs a fresh search beside every search of a cut and requires the
+    walk, resumed from the level above or not, to find what the fresh
+    one finds: the same hand-over to the arrays, winner, side, level-i
+    tree edges, lmask and nmask bits up to i (the ones the cut reads)."""
+
+    resumed = 0
+    handed_over = 0
+
+    def _side_bfs(self, i, walk, budget):
+        u, v = walk.qu[0], walk.qv[0]
+        resumed = walk.iu + walk.iv > 0
+        got = super()._side_bfs(i, walk, budget)
+        want = super()._side_bfs(i, flat_absorb._Walk(u, v), budget)
+        if want is None:
+            assert got is None, "the walk decided a search a fresh one hands over"
+            ResumeChecked.handed_over += 1
+        else:
+            assert got is not None, "the walk handed over a search a fresh one decides"
+            assert got[0] == want[0], "different winner"
+            assert sorted(got[1]) == sorted(want[1]), "different side"
+            assert sorted(got[2]) == sorted(want[2]), "different arcs"
+            assert got[3] == want[3], "different tree-edge levels"
+            used = (2 << i) - 1
+            assert got[4] & used == want[4] & used, "different non-tree levels"
+        ResumeChecked.resumed += resumed
+        return got
+
+
+class TestResumedSearch:
+    """A cut's alternating search resumes at each lower level from where
+    the level above stopped; on fuzzed batch sequences (both structures,
+    invariants checked per batch) every search answers as a fresh search
+    at its level would, with the hand-over budget counted over the cut."""
+
+    @pytest.mark.parametrize("threshold", [None, 2, 5, 16])
+    @pytest.mark.parametrize("name", ["gnm", "grid", "spider", "path"])
+    def test_resumed_walk_matches_fresh_search(self, monkeypatch, threshold,
+                                               name):
+        if threshold is not None:
+            monkeypatch.setattr(flat_absorb, "_ARRAY_SIDE", threshold)
+        monkeypatch.setattr(flat_absorb, "FlatForest", ResumeChecked)
+        monkeypatch.setitem(globals(), "FlatForest", ResumeChecked)
+        monkeypatch.setattr(ResumeChecked, "resumed", 0)
+        monkeypatch.setattr(ResumeChecked, "handed_over", 0)
+        g = _golden_graph(name)
+        for seed in range(2):
+            _forest_trace(g, seed, 30, True)
+            _absorb_trace(g, seed, 30, True)
+        if name in ("gnm", "grid"):
+            # promotions leave tree edges below a cut's level
+            assert ResumeChecked.resumed > 0
+        assert (ResumeChecked.handed_over > 0) == (threshold is not None)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_graphs(self, monkeypatch, seed):
+        monkeypatch.setattr(flat_absorb, "_ARRAY_SIDE", 3 + seed)
+        monkeypatch.setattr(flat_absorb, "FlatForest", ResumeChecked)
+        monkeypatch.setitem(globals(), "FlatForest", ResumeChecked)
+        monkeypatch.setattr(ResumeChecked, "resumed", 0)
+        rng = random.Random(seed)
+        n = rng.randrange(40, 160)
+        g = gnm_random_connected_graph(n, rng.randrange(n, 3 * n), seed=seed)
+        _forest_trace(g, seed, 40, True)
+        _absorb_trace(g, seed, 40, True)
+        assert ResumeChecked.resumed > 0
 
 
 class TestWitnessAndPathErrors:
